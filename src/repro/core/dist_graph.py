@@ -38,7 +38,6 @@ from repro.partition.shard import (
     EdgeBlock,
     ShardedGraph,
     ShardedHeteroGraph,
-    restrict_block_to_dst,
 )
 from repro.tensor.tensor import Tensor
 from repro.utils.lru import LRUDict
@@ -135,10 +134,10 @@ class DistributedGraph(_DistributedGraphBase):
         self.shard = shard
         self.halo = HaloExchange(comm, shard.blocks, name="homo")
         #: per-conv-layer ``(restricted shard view, halo)`` pairs installed by
-        #: :meth:`enable_mfg`; ``None`` means unrestricted execution.
-        self._mfg_layers: Optional[List[Tuple[ShardedGraph, HaloExchange]]] = None
-        self._mfg_active = False
-        self._mfg_cursor = 0
+        #: :meth:`install_restricted_layers`; ``None`` means unrestricted
+        #: execution.  ``_cursor`` is the step's next restricted layer.
+        self._restricted: Optional[List[Tuple[ShardedGraph, HaloExchange]]] = None
+        self._cursor = 0
         #: prepared-restriction cache keyed by the caller's structural key
         #: (e.g. ``("layerwise", batch_size)`` for the inference batch
         #: grids).  Restrictions are deterministic per graph, so reusing the
@@ -198,19 +197,19 @@ class DistributedGraph(_DistributedGraphBase):
             f"local_nodes={self.num_nodes}, halo={self.shard.halo_size})"
         )
 
-    # -- MFG restriction (paper Appendix B, executed) --------------------- #
+    # -- restricted block grids (paper Appendix B, executed) ------------- #
     def begin_step(self) -> None:
         super().begin_step()
-        self._mfg_cursor = 0
+        self._cursor = 0
 
     def install_restricted_layers(self, layer_blocks: Sequence[List[EdgeBlock]],
                                   name: str = "smp",
                                   recompute_in_degrees: bool = False) -> None:
         """Install per-conv-layer substitute block grids (collective call).
 
-        Generalization shared by the persistent MFG restriction
-        (:meth:`enable_mfg`), per-batch sampled mini-batch training
-        (:mod:`repro.sample.distributed` installs a fresh grid every batch),
+        Shared by per-batch sampled mini-batch training
+        (:mod:`repro.sample.distributed` installs a fresh grid every batch;
+        with every fanout ``-1`` that grid is the MFG of the batch seeds)
         and per-batch layer-wise inference
         (:func:`repro.sample.inference.distributed_layerwise_logits`): conv
         layer ``l``'s aggregation runs over ``layer_blocks[l]``, so halo
@@ -233,16 +232,16 @@ class DistributedGraph(_DistributedGraphBase):
         recompute_in_degrees:
             Must be ``True`` for *sampled* grids so mean aggregation
             normalizes by the sampled degree; leave ``False`` when every
-            destination keeps its complete in-neighbourhood (MFG restriction,
-            layer-wise inference) so the full-graph degrees are reused.
+            destination keeps its complete in-neighbourhood (blocks from
+            :func:`~repro.partition.shard.restrict_block_to_dst`, layer-wise
+            inference) so the full-graph degrees are reused.
 
         Notes
         -----
         Collective: every worker must call this at the same point with grids
         describing the same global edge set — each restricted layer performs
         its own halo-routing exchange.  The installed grids replace any
-        previous restriction; wrap temporary installs with
-        :meth:`snapshot_restriction` / :meth:`restore_restriction`.
+        previous restriction until :meth:`clear_restriction`.
 
         Returns the prepared ``(restricted shard view, halo)`` pairs so
         callers whose restriction is deterministic — e.g. the layer-wise
@@ -272,94 +271,31 @@ class DistributedGraph(_DistributedGraphBase):
         active (the usual replicated-control-flow discipline), since the
         halos' per-step fetches are collective.
         """
-        self._mfg_layers = list(layers)
-        self._mfg_active = True
-        self._mfg_cursor = 0
+        self._restricted = list(layers)
+        self._cursor = 0
 
     def clear_restriction(self) -> None:
         """Drop any installed restriction; aggregations run unrestricted again."""
-        self._mfg_layers = None
-        self._mfg_active = False
-        self._mfg_cursor = 0
-
-    def snapshot_restriction(self):
-        """Capture the currently installed restriction (opaque token).
-
-        Lets a temporary restriction user — e.g. layer-wise inference, which
-        installs a fresh single-layer grid per batch — put back whatever was
-        installed before it ran (a persistent MFG grid, or nothing) via
-        :meth:`restore_restriction`, instead of clobbering it.
-        """
-        return (self._mfg_layers, self._mfg_active)
-
-    def restore_restriction(self, snapshot) -> None:
-        """Reinstall a restriction captured by :meth:`snapshot_restriction`."""
-        self._mfg_layers, self._mfg_active = snapshot
-        self._mfg_cursor = 0
-
-    def enable_mfg(self, layer_masks: Sequence[np.ndarray]) -> None:
-        """Install per-layer MFG-restricted block grids (collective call).
-
-        Parameters
-        ----------
-        layer_masks:
-            The ``num_layers + 1`` global boolean masks — each shaped
-            ``(num_total_nodes,)`` — from
-            :func:`repro.graph.mfg.message_flow_masks` over the
-            *unpartitioned* graph.  Conv layer ``l``'s aggregation then runs
-            over blocks whose edges all feed a destination required at level
-            ``l + 1``.
-
-        Notes
-        -----
-        The restriction persists across steps until :meth:`clear_restriction`
-        (evaluation toggles it off with :meth:`set_mfg_active`).  Because
-        every required destination keeps its complete in-neighbourhood in
-        original edge order, seed-row outputs under the restriction are
-        bit-identical to the unrestricted pass.
-        """
-        if len(layer_masks) < 2:
-            raise ValueError("layer_masks needs at least 2 entries (input and output level)")
-        layer_blocks: List[List[EdgeBlock]] = []
-        for layer in range(len(layer_masks) - 1):
-            mask = np.asarray(layer_masks[layer + 1], dtype=bool)
-            if mask.shape != (self.num_total_nodes,):
-                raise ValueError(
-                    f"layer_masks[{layer + 1}] must cover all {self.num_total_nodes} "
-                    f"global nodes, got shape {mask.shape}"
-                )
-            dst_mask = mask[self.shard.global_node_ids]
-            layer_blocks.append([restrict_block_to_dst(b, dst_mask) for b in self.shard.blocks])
-        self.install_restricted_layers(layer_blocks, name="mfg")
-
-    @property
-    def mfg_active(self) -> bool:
-        """Whether aggregations currently run over the restricted block grids."""
-        return self._mfg_active and self._mfg_layers is not None
-
-    def set_mfg_active(self, active: bool) -> None:
-        """Toggle the installed restriction (evaluation needs full-graph rows)."""
-        if active and self._mfg_layers is None:
-            raise RuntimeError("enable_mfg() must be called before activating MFG")
-        self._mfg_active = bool(active)
+        self._restricted = None
+        self._cursor = 0
 
     def _layer_context(self, what: str) -> Tuple[ShardedGraph, HaloExchange]:
         """The (shard, halo) pair the next aggregation runs over.
 
-        Under MFG restriction, aggregations are dispatched to the restricted
+        Under a restriction, aggregations are dispatched to the restricted
         layers in call order — the models are replicas, so conv layer ``l``
         issues the step's ``l``-th aggregation on every worker.
         """
-        if not (self._mfg_active and self._mfg_layers is not None):
+        if self._restricted is None:
             return self.shard, self.halo
-        layer = self._mfg_cursor
-        if layer >= len(self._mfg_layers):
+        layer = self._cursor
+        if layer >= len(self._restricted):
             raise RuntimeError(
-                f"MFG restriction covers {len(self._mfg_layers)} conv layers but the "
+                f"MFG restriction covers {len(self._restricted)} conv layers but the "
                 f"model issued a {layer + 1}th aggregation ({what}) this step"
             )
-        self._mfg_cursor += 1
-        return self._mfg_layers[layer]
+        self._cursor += 1
+        return self._restricted[layer]
 
     # -- aggregation entry points (called by the nn layers) -------------- #
     def aggregate_neighbors(self, z: Tensor, op: str = "mean") -> Tensor:

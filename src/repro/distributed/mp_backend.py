@@ -219,8 +219,13 @@ class MultiprocessCommunicator(Communicator):
         self._collective_counter += 1
         key = f"__coll/{self._collective_counter}"
         self._put_and_notify((self.rank, key), array)
-        gathered = [np.array(self._wait_get(r, key), copy=True)
-                    for r in range(self.world_size)]
+        gathered = []
+        for r in range(self.world_size):
+            remote = np.array(self._wait_get(r, key), copy=True)
+            if r != self.rank:
+                self.stats.record_recv(remote.nbytes, tag=tag)
+                self.stats.record_send(array.nbytes, tag=tag)
+            gathered.append(remote)
         self.barrier()
         self._store.pop((self.rank, key), None)
         return gathered

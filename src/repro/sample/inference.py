@@ -333,8 +333,8 @@ def distributed_layerwise_logits(
     ----------
     dist_graph:
         The worker's :class:`~repro.core.dist_graph.DistributedGraph`
-        (homogeneous graphs only).  Any restriction installed on the handle
-        (MFG or sampled training) is snapshotted and restored afterwards.
+        (homogeneous graphs only).  The handle is left unrestricted
+        afterwards (sampled training clears its grids before evaluation).
     model:
         The worker's model replica (``num_layers`` + ``forward_layer``);
         switched to ``eval()`` for the duration.
@@ -374,7 +374,6 @@ def distributed_layerwise_logits(
     local_of_global = np.full(num_total, -1, dtype=np.int64)
     local_of_global[shard.global_node_ids] = np.arange(num_local, dtype=np.int64)
 
-    snapshot = dist_graph.snapshot_restriction()
     was_training = model.training
     model.eval()
     try:
@@ -420,7 +419,7 @@ def distributed_layerwise_logits(
                 h = out
             return h.data
     finally:
-        dist_graph.restore_restriction(snapshot)
+        dist_graph.clear_restriction()
         if was_training:
             model.train()
 

@@ -47,8 +47,7 @@ distributed backend (:class:`repro.serving.distributed.
 DistributedInferenceServer`); only the per-batch compute and the
 update/version plumbing differ between backends.  Construct servers through
 :class:`~repro.serving.ServingConfig` and
-:func:`repro.serving.create_server`; the loose keyword-argument form of
-``InferenceServer(...)`` remains as a one-release deprecated shim.
+:func:`repro.serving.create_server`.
 """
 
 from __future__ import annotations
@@ -56,7 +55,6 @@ from __future__ import annotations
 import queue
 import threading
 import time
-import warnings
 from concurrent.futures import Future
 from typing import Callable, Dict, List, Optional, Tuple
 
@@ -381,13 +379,6 @@ class _MicroBatchServerBase:
                     item.future.set_exception(exc)
 
 
-#: keyword arguments the deprecated loose-construction shim still accepts.
-_LEGACY_KWARGS = (
-    "window_ms", "max_batch_seeds", "max_pending", "cache_bytes",
-    "cache_admission",
-)
-
-
 class InferenceServer(_MicroBatchServerBase):
     """Serve ``predict(node_ids)`` over a trained model with micro-batching.
 
@@ -415,12 +406,6 @@ class InferenceServer(_MicroBatchServerBase):
         queue bound, and timeouts.  ``None`` uses the defaults.  Prefer
         constructing through :func:`repro.serving.create_server`.
 
-    The pre-redesign loose keyword form (``window_ms=``, ``cache_bytes=``,
-    ``cache_admission=``, ``max_batch_seeds=``, ``max_pending=``) still
-    works for one release behind a :class:`DeprecationWarning` that maps it
-    onto a :class:`~repro.serving.ServingConfig` (``cache_bytes`` becomes
-    ``byte_budget``).
-
     Examples
     --------
     >>> import numpy as np
@@ -447,38 +432,7 @@ class InferenceServer(_MicroBatchServerBase):
         graph: Graph,
         features,
         config: Optional[ServingConfig] = None,
-        **kwargs,
     ):
-        if isinstance(config, (int, float)) and not isinstance(config, bool):
-            # Legacy positional call: the fourth argument used to be
-            # window_ms.  Fold it into the deprecated-kwargs path below.
-            kwargs["window_ms"] = config
-            config = None
-        if kwargs:
-            if config is not None:
-                raise TypeError(
-                    "pass either config=ServingConfig(...) or the deprecated "
-                    f"loose keywords, not both (got {sorted(kwargs)})"
-                )
-            unknown = sorted(set(kwargs) - set(_LEGACY_KWARGS))
-            if unknown:
-                raise TypeError(
-                    f"InferenceServer got unexpected keyword arguments "
-                    f"{unknown}; supported legacy keywords are "
-                    f"{sorted(_LEGACY_KWARGS)}"
-                )
-            warnings.warn(
-                "constructing InferenceServer from loose keyword arguments "
-                "is deprecated and will be removed in the next release; "
-                "build a ServingConfig (cache_bytes is now byte_budget) and "
-                "call repro.serving.create_server(model, graph, features, "
-                "config)",
-                DeprecationWarning,
-                stacklevel=2,
-            )
-            mapped = dict(kwargs)
-            mapped["byte_budget"] = mapped.pop("cache_bytes", None)
-            config = ServingConfig(**mapped)
         if config is None:
             config = ServingConfig()
         if config.backend != "local":

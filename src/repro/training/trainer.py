@@ -22,7 +22,7 @@ from __future__ import annotations
 
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, List, Optional, Sequence
+from typing import Any, Callable, Dict, List, Optional
 
 import numpy as np
 
@@ -36,11 +36,6 @@ from repro.datasets.synthetic import (
 from repro.distributed.cluster import ClusterRunResult, SimulatedCluster
 from repro.distributed.comm import Communicator
 from repro.graph.hetero import HeteroGraph
-from repro.graph.mfg import (
-    build_hetero_mfg_pipeline,
-    build_mfg_pipeline,
-    message_flow_masks,
-)
 from repro.nn.module import Module
 from repro.partition.book import PartitionBook
 from repro.partition.partitioner import partition_graph
@@ -99,9 +94,9 @@ class TrainingConfig:
     model factory), a single-machine run and an ``N``-worker distributed run
     execute the same epoch structure, and — when :attr:`sampler` is set — the
     identical mini-batch sequence (the sampler's counter-based determinism).
-    Execution-path switches (:attr:`mfg_seeds`, :attr:`sampler`,
-    :attr:`eval_inference`) change *how* numbers are computed, not the model
-    or loss definitions; see each field's note for its exactness guarantee.
+    Execution-path switches (:attr:`sampler`, :attr:`eval_inference`)
+    change *how* numbers are computed, not the model or loss definitions;
+    see each field's note for its exactness guarantee.
     """
 
     num_epochs: int = 100
@@ -117,21 +112,19 @@ class TrainingConfig:
     eval_every: int = 0  # 0 = evaluate only after the final epoch
     seed: int = 0
     verbose: bool = False
-    #: Seed node ids for MFG-restricted training (paper Appendix B).  When
-    #: set, each training epoch only computes the rows inside the seed set's
-    #: receptive field — the loss is evaluated over these seeds — while
-    #: evaluation still runs over the full graph.  ``None`` disables the
-    #: restriction.  Note that batch normalization computes its statistics
-    #: over whichever rows a layer produces, so restricted and full training
-    #: only match exactly for models without batch norm.
-    mfg_seeds: Optional[Sequence[int]] = None
     #: Mini-batch neighbour-sampled training
     #: (:class:`~repro.sample.loader.NeighborSamplingConfig`).  When set, each
     #: epoch shuffles the training seeds, samples per-layer neighbourhoods per
     #: batch, and takes one optimizer step per batch; evaluation still scores
-    #: the full graph.  Mutually exclusive with :attr:`mfg_seeds`.  The
-    #: sampler seed defaults to :attr:`seed`, so single-machine and
-    #: distributed runs with the same config train the same batch sequence.
+    #: the full graph.  The sampler seed defaults to :attr:`seed`, so
+    #: single-machine and distributed runs with the same config train the
+    #: same batch sequence.  MFG-restricted training (paper Appendix B: each
+    #: epoch computes only the training seeds' receptive field) is the
+    #: config ``NeighborSamplingConfig(fanouts=(-1,) * num_layers,
+    #: batch_size=len(train_ids), shuffle=False)``: one unshuffled batch of
+    #: complete neighbourhoods, whose losses equal full-batch training for
+    #: models without batch norm (batch norm computes its statistics over
+    #: whichever rows a layer produces).
     sampler: Optional[NeighborSamplingConfig] = None
     #: How evaluation computes its logits: ``"full"`` runs one full-graph
     #: forward pass; ``"layerwise"`` runs the layer-wise full-neighbourhood
@@ -152,7 +145,7 @@ class TrainingConfig:
     #: :class:`~repro.store.PartitionedKVStore` and attach it to the graph
     #: handle, so layer-0 halo fetches route through the hot-row cache.
     #: Mutually exclusive with :attr:`label_augmentation` (which rewrites the
-    #: feature matrix every epoch) and :attr:`mfg_seeds`.
+    #: feature matrix every epoch).
     feature_store: Optional[Any] = None
     #: Hot-row cache budget for the distributed ``"kv"`` store.
     feature_store_cache_bytes: Optional[int] = 1 << 22
@@ -248,8 +241,6 @@ def _make_augmenter(config: TrainingConfig, num_classes: int):
 def _sampled_num_layers(config: TrainingConfig, model_num_layers: Optional[int]) -> int:
     """Validate the sampler config against the model's conv-layer count."""
     assert config.sampler is not None
-    if config.mfg_seeds is not None:
-        raise ValueError("sampler and mfg_seeds are mutually exclusive")
     if model_num_layers is None:
         raise ValueError(
             "sampler requires a model exposing num_layers (one fanout per conv layer)"
@@ -269,8 +260,6 @@ def _check_store_config(config: TrainingConfig) -> None:
             "feature_store and label_augmentation are mutually exclusive "
             "(augmentation rewrites the feature matrix every epoch)"
         )
-    if config.mfg_seeds is not None:
-        raise ValueError("feature_store and mfg_seeds are not supported together")
 
 
 def _build_sparse_optimizer(config: TrainingConfig, store):
@@ -361,22 +350,6 @@ class FullBatchTrainer:
                 num_workers=scfg.num_workers,
                 max_resident=scfg.max_resident_batches,
             )
-        self.mfg_pipeline = None
-        if self.config.mfg_seeds is not None:
-            num_layers = getattr(model, "num_layers", None)
-            if num_layers is None:
-                raise ValueError(
-                    "mfg_seeds requires a model exposing num_layers (one compacted "
-                    "block is built per conv layer)"
-                )
-            if isinstance(self.graph, HeteroGraph):
-                self.mfg_pipeline = build_hetero_mfg_pipeline(
-                    self.graph, self.config.mfg_seeds, num_layers
-                )
-            else:
-                self.mfg_pipeline = build_mfg_pipeline(
-                    self.graph, self.config.mfg_seeds, num_layers
-                )
 
     # ------------------------------------------------------------------ #
     def train(self) -> TrainingResult:
@@ -398,18 +371,8 @@ class FullBatchTrainer:
             if self.sample_loader is not None:
                 mean_loss = self._sampled_epoch(features, predict_mask, epoch)
             else:
-                if self.mfg_pipeline is not None:
-                    # Restricted epoch: only the receptive field of the seed set
-                    # is computed; the logits rows are exactly the (sorted) seeds.
-                    out_nodes = self.mfg_pipeline.output_nodes
-                    logits = self.model(self.mfg_pipeline,
-                                        Tensor(self.mfg_pipeline.gather_inputs(features)))
-                    labels = dataset.labels[out_nodes]
-                    predict_mask = np.asarray(predict_mask)[out_nodes]
-                else:
-                    logits = self.model(self.graph, self._full_inputs(features))
-                    labels = dataset.labels
-                loss = _local_loss(logits, labels, predict_mask)
+                logits = self.model(self.graph, self._full_inputs(features))
+                loss = _local_loss(logits, dataset.labels, predict_mask)
                 count = max(int(np.asarray(predict_mask).sum()), 1)
                 self._optimize_step(loss, count)
                 mean_loss = float(loss.data) / count
@@ -580,9 +543,9 @@ def _distributed_evaluate(dist_graph, model: Module, augmenter, features: np.nda
     ``"layerwise"`` computes each layer for all nodes batch-by-batch with
     per-batch halo fetches (:func:`repro.sample.inference.
     distributed_layerwise_logits`), so no worker ever materializes a
-    full-graph forward.  Either way any installed MFG/sampling restriction is
-    suspended for the duration.  Heterogeneous handles always run the full
-    pass (the restriction machinery is homogeneous-only).
+    full-graph forward.  Either way the pass runs unrestricted: sampled
+    epochs clear their grids before returning.  Heterogeneous handles always
+    run the full pass (the restriction machinery is homogeneous-only).
     """
     if inference not in ("full", "layerwise"):
         raise ValueError(f"inference must be 'full' or 'layerwise', got {inference!r}")
@@ -594,18 +557,9 @@ def _distributed_evaluate(dist_graph, model: Module, augmenter, features: np.nda
             dist_graph, model, augmented, batch_size=eval_batch_size
         )
     else:
-        # Evaluation scores every row, so any MFG restriction is lifted for
-        # the duration of the inference pass.
-        restricted = getattr(dist_graph, "mfg_active", False)
-        if restricted:
-            dist_graph.set_mfg_active(False)
-        try:
-            dist_graph.begin_step()
-            with no_grad():
-                logits_data = model(dist_graph, Tensor(augmented)).data
-        finally:
-            if restricted:
-                dist_graph.set_mfg_active(True)
+        dist_graph.begin_step()
+        with no_grad():
+            logits_data = model(dist_graph, Tensor(augmented)).data
     report = evaluation_report(logits_data, labels, masks, comm)
     model.train()
     return report, logits_data
@@ -692,32 +646,21 @@ def distributed_train_worker(rank: int, comm: Communicator, shard, *,
                              model_factory: ModelFactory, feature_dim: int,
                              num_classes: int, config: TrainingConfig,
                              sar_config: SARConfig,
-                             mfg_masks: Optional[Sequence[np.ndarray]] = None,
                              sampling: Optional[DistributedSamplingPlan] = None
                              ) -> Dict[str, Any]:
     """Per-worker training loop (executed by the simulated cluster).
-
-    ``mfg_masks`` are the global per-layer required-node masks computed by the
-    driver (:class:`DistributedTrainer`) when ``config.mfg_seeds`` is set:
-    training epochs run with per-layer restricted blocks (smaller halo
-    fetches), evaluation temporarily lifts the restriction so every row's
-    logits exist.
 
     ``sampling`` (from ``config.sampler``) switches the worker to cooperative
     neighbour-sampled mini-batch training: per batch, the workers sample
     their owned share of the per-layer neighbourhoods, install the sampled
     block grids, and step the optimizer once — the halo exchange each batch
-    covers only sampled sources.  Evaluation always runs unrestricted.
+    covers only sampled sources.  With every fanout ``-1`` and one
+    unshuffled batch of all training seeds this is MFG-restricted training
+    (paper Appendix B).  Evaluation always runs unrestricted.
     """
     dist_graph = _build_distributed_graph(shard, comm, sar_config)
-    if mfg_masks is not None:
-        if not isinstance(dist_graph, DistributedGraph):
-            raise ValueError("MFG-restricted training supports homogeneous graphs only")
-        dist_graph.enable_mfg(mfg_masks)
     sampler: Optional[DistributedNeighborSampler] = None
     if sampling is not None:
-        if mfg_masks is not None:
-            raise ValueError("sampler and mfg_seeds are mutually exclusive")
         if not isinstance(dist_graph, DistributedGraph):
             raise ValueError("sampled distributed training supports homogeneous graphs only")
         sampler = DistributedNeighborSampler(sampling, shard.book, comm)
@@ -755,11 +698,6 @@ def distributed_train_worker(rank: int, comm: Communicator, shard, *,
         "val": shard.node_data["val_mask"],
         "test": shard.node_data["test_mask"],
     }
-    seed_mask_local = None
-    if mfg_masks is not None:
-        # Under MFG restriction only the seed rows carry trustworthy logits;
-        # the per-epoch loss mask is clipped to them.
-        seed_mask_local = np.asarray(mfg_masks[-1], dtype=bool)[shard.global_node_ids]
     rng = np.random.default_rng(config.seed * 100_003 + rank)
     records: List[EpochRecord] = []
 
@@ -776,8 +714,6 @@ def distributed_train_worker(rank: int, comm: Communicator, shard, *,
             )
         else:
             dist_graph.begin_step()
-            if seed_mask_local is not None:
-                predict_mask = np.asarray(predict_mask, dtype=bool) & seed_mask_local
             logits = model(dist_graph, Tensor(augmented))
             loss = _local_loss(logits, labels, predict_mask)
             local_count = int(np.asarray(predict_mask).sum())
@@ -859,26 +795,11 @@ class DistributedTrainer:
             shards = create_shards(dataset.graph, book)
         return book, shards
 
-    def _mfg_masks(self) -> Optional[List[np.ndarray]]:
-        """Global per-layer required-node masks when MFG restriction is on."""
-        if self.config.mfg_seeds is None:
-            return None
-        if isinstance(self.dataset, HeteroNodeClassificationDataset) and \
-                self.dataset.hetero_graph is not None:
-            raise ValueError("MFG-restricted training supports homogeneous graphs only")
-        num_layers = self._probe_num_layers()
-        if num_layers is None:
-            raise ValueError(
-                "mfg_seeds requires a model exposing num_layers (one restricted "
-                "block grid is built per conv layer)"
-            )
-        return message_flow_masks(self.dataset.graph, self.config.mfg_seeds, num_layers)
-
     def _probe_num_layers(self) -> Optional[int]:
         """Read ``num_layers`` off a throwaway model replica.
 
         The probe exists only to read the attribute; its parameter draws are
-        isolated so enabling MFG or sampling does not shift the workers'
+        isolated so enabling sampling does not shift the workers'
         initial weights.
         """
         with temp_seed(0):
@@ -908,7 +829,6 @@ class DistributedTrainer:
             num_classes=self.dataset.num_classes,
             config=self.config,
             sar_config=self.sar_config,
-            mfg_masks=self._mfg_masks(),
             sampling=self._sampling_plan(),
         )
         rank0 = result.results[0]

@@ -16,8 +16,6 @@ The subsystem contract under test (``repro/serving/``):
   implement :class:`~repro.serving.ServerProtocol` and share one ``stats()``
   shape (plus per-worker halo/frontier/cache telemetry on the distributed
   one);
-* the pre-redesign loose-keyword ``InferenceServer(...)`` form still works
-  behind a :class:`DeprecationWarning` naming the migration;
 * calling ``update()``/``predict()`` on a never-started server raises a
   RuntimeError that says so (regression: it used to be indistinguishable
   from a stopped server).
@@ -313,45 +311,6 @@ def test_serving_config_rejects_invalid_cross_field_combinations():
     # Valid neighbours of both combinations still construct.
     ServingConfig(cache_admission="frequency", byte_budget=1 << 16)
     ServingConfig(window_ms=500.0, predict_timeout_s=1.0)
-
-
-def test_legacy_kwargs_deprecated_but_equivalent(dataset):
-    model = _make_model(dataset)
-    with pytest.warns(DeprecationWarning, match="cache_bytes is now byte_budget"):
-        server = InferenceServer(
-            model, dataset.graph, dataset.features,
-            window_ms=5.0, cache_bytes=1 << 16, cache_admission="frequency",
-        )
-    assert server.config == ServingConfig(
-        window_ms=5.0, byte_budget=1 << 16, cache_admission="frequency"
-    )
-    # The warning names the replacement entry point.
-    with pytest.warns(DeprecationWarning, match="create_server"):
-        InferenceServer(model, dataset.graph, dataset.features, window_ms=0.0)
-    # Legacy positional window_ms (4th argument) takes the same shim.
-    with pytest.warns(DeprecationWarning):
-        positional = InferenceServer(model, dataset.graph, dataset.features, 7.5)
-    assert positional.config.window_ms == 7.5
-    with pytest.raises(TypeError, match="not both"):
-        InferenceServer(
-            model, dataset.graph, dataset.features,
-            config=ServingConfig(), window_ms=1.0,
-        )
-    with pytest.raises(TypeError, match="unexpected keyword"):
-        InferenceServer(model, dataset.graph, dataset.features, cache_mb=4)
-
-
-def test_legacy_kwargs_still_serve_bit_identical(dataset):
-    model = _make_model(dataset)
-    reference = _reference_logits(model, dataset.graph, dataset.features)
-    with pytest.warns(DeprecationWarning):
-        server = InferenceServer(
-            model, dataset.graph, dataset.features,
-            window_ms=0.0, cache_bytes=1 << 20,
-        )
-    with server:
-        ids = [9, 2, 9, 0, 2]
-        np.testing.assert_array_equal(server.predict(ids), reference[ids])
 
 
 # --------------------------------------------------------------------------- #

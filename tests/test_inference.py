@@ -11,7 +11,7 @@ The subsystem contract under test (``repro/sample/inference.py``):
 * ``FullBatchTrainer.evaluate(inference="layerwise")`` is a drop-in for the
   full pass, including after neighbour-sampled training;
 * the distributed variant matches single-machine inference to 1e-6 and
-  leaves any installed restriction (MFG / sampled) untouched.
+  leaves the handle unrestricted afterwards.
 """
 
 from __future__ import annotations
@@ -26,7 +26,6 @@ from repro.core.config import SARConfig
 from repro.core.dist_graph import DistributedGraph
 from repro.datasets import make_hetero_sbm_dataset, make_sbm_dataset
 from repro.distributed.cluster import run_distributed
-from repro.graph.mfg import message_flow_masks
 from repro.nn.models import GATNet, GraphSageNet, RGCNNet
 from repro.partition import PartitionBook, create_shards, partition_graph
 from repro.sample import (
@@ -393,35 +392,36 @@ def test_distributed_layerwise_matches_single_machine(dataset, kind, world_size)
     np.testing.assert_allclose(assembled, reference, atol=1e-6)
 
 
-def test_distributed_layerwise_restores_installed_restriction(dataset):
-    """A persistent MFG restriction survives an inference pass untouched."""
+def test_distributed_layerwise_leaves_handle_unrestricted(dataset):
+    """After an inference pass, a full step fetches the whole halo again:
+    its forward_halo bytes equal those of a handle that never evaluated."""
     dataset.attach_to_graph()
     template = _fixed_model(dataset, "sage")
     weights = _weights_of(template)
-    seeds = dataset.train_indices()[:24]
-    masks = message_flow_masks(dataset.graph, seeds, 2)
     book = PartitionBook(partition_graph(dataset.graph, 2, seed=0), 2)
     shards = create_shards(dataset.graph, book)
 
-    def worker(rank, comm, shard):
+    def worker(rank, comm, shard, evaluate):
         dist_graph = DistributedGraph(shard, comm, SARConfig(mode="sar"))
         model = _install_weights(_fixed_model(dataset, "sage"), weights)
         model.set_comm(comm)
-        dist_graph.enable_mfg(masks)
-        halo_before = [layer[0].halo_size for layer in dist_graph._mfg_layers]
-        local = distributed_layerwise_logits(
-            dist_graph, model, shard.node_data["feat"], batch_size=60
-        )
-        assert dist_graph.mfg_active
-        halo_after = [layer[0].halo_size for layer in dist_graph._mfg_layers]
-        assert halo_before == halo_after
-        # The restored restriction still executes a full training-style step.
+        if evaluate:
+            distributed_layerwise_logits(
+                dist_graph, model, shard.node_data["feat"], batch_size=60
+            )
+        before = comm.stats.received_by_tag.get("forward_halo", 0)
         dist_graph.begin_step()
         logits = model(dist_graph, Tensor(shard.node_data["feat"]))
-        return local, logits.data.shape
+        after = comm.stats.received_by_tag.get("forward_halo", 0)
+        return after - before, logits.data
 
-    result = run_distributed(worker, 2, worker_args=shards)
-    assert all(shape[1] == dataset.num_classes for _, shape in result.results)
+    evaluated = run_distributed(worker, 2, worker_args=shards, evaluate=True)
+    fresh = run_distributed(worker, 2, worker_args=shards, evaluate=False)
+    for (step_bytes, logits), (fresh_bytes, fresh_logits) in zip(
+        evaluated.results, fresh.results
+    ):
+        assert step_bytes == fresh_bytes > 0
+        np.testing.assert_array_equal(logits, fresh_logits)
 
 
 def test_distributed_layerwise_restriction_cache_reused(dataset):

@@ -26,6 +26,7 @@ from repro.graph import (
 from repro.nn.models import GATNet, GraphSageNet, RGCNNet
 from repro.partition import PartitionBook, create_shards, partition_graph
 from repro.partition.shard import restrict_block_to_dst
+from repro.sample import NeighborSamplingConfig
 from repro.tensor import Tensor
 from repro.tensor import functional as F
 from repro.tensor.edge_plan import plans_disabled
@@ -188,6 +189,13 @@ class TestSingleMachineParity:
         np.testing.assert_array_equal(masks[1], [False, True, False])
 
 
+def _mfg_sampler(seeds, num_layers=3):
+    """The sampler config that *is* MFG-restricted training over ``seeds``:
+    complete neighbourhoods, one unshuffled batch of every seed."""
+    return NeighborSamplingConfig(fanouts=(-1,) * num_layers,
+                                  batch_size=len(seeds), shuffle=False)
+
+
 class TestTrainerIntegration:
     def test_full_batch_trainer_with_mfg_seeds(self, small_dataset):
         seeds = small_dataset.train_indices()
@@ -205,7 +213,7 @@ class TestTrainerIntegration:
         restricted = FullBatchTrainer(
             GraphSageNet(small_dataset.feature_dim, 16, small_dataset.num_classes,
                          **model_kwargs),
-            small_dataset, TrainingConfig(mfg_seeds=seeds, **config),
+            small_dataset, TrainingConfig(sampler=_mfg_sampler(seeds), **config),
         ).train()
 
         # Same loss trajectory (losses are means over the same seed set) and
@@ -221,23 +229,45 @@ class TestTrainerIntegration:
             FullBatchTrainer(
                 SageConv(small_dataset.feature_dim, small_dataset.num_classes),
                 small_dataset,
-                TrainingConfig(mfg_seeds=small_dataset.train_indices()),
+                TrainingConfig(sampler=_mfg_sampler(small_dataset.train_indices())),
             )
 
     @pytest.mark.slow
     def test_distributed_trainer_with_mfg_seeds(self, small_dataset):
-        config = TrainingConfig(num_epochs=2, lr=0.05, eval_every=0, seed=0,
-                                mfg_seeds=small_dataset.train_indices())
-        trainer = DistributedTrainer(
-            small_dataset,
-            lambda dim: GraphSageNet(dim, 16, small_dataset.num_classes,
-                                     dropout=0.0, use_batch_norm=False),
-            num_workers=2,
-            config=config,
+        def make_model(dim):
+            return GraphSageNet(dim, 16, small_dataset.num_classes,
+                                dropout=0.0, use_batch_norm=False)
+
+        # Worker threads share the global RNG, so both runs start from the
+        # same weights shipped in from here instead of per-run draws.
+        set_seed(0)
+        weights = [p.data.copy()
+                   for p in make_model(small_dataset.feature_dim).parameters()]
+
+        def factory(dim):
+            model = make_model(dim)
+            for param, value in zip(model.parameters(), weights):
+                param.data[...] = value
+            return model
+
+        common = dict(num_epochs=2, lr=0.05, eval_every=0, seed=0)
+        mfg_config = TrainingConfig(
+            sampler=_mfg_sampler(small_dataset.train_indices()), **common
         )
-        result = trainer.run()
+        result = DistributedTrainer(small_dataset, factory, num_workers=2,
+                                    config=mfg_config).run()
         assert len(result.training.records) == 2
         assert np.isfinite(result.training.final_test_accuracy)
+
+        full = DistributedTrainer(small_dataset, factory, num_workers=2,
+                                  config=TrainingConfig(**common)).run()
+        # Same losses as unrestricted full-batch training, over a strictly
+        # smaller forward halo (only the train seeds' receptive field).
+        np.testing.assert_array_equal(result.training.losses(),
+                                      full.training.losses())
+        mfg_halo = result.cluster.total_received_by_tag()["forward_halo"]
+        full_halo = full.cluster.total_received_by_tag()["forward_halo"]
+        assert mfg_halo < full_halo
 
 
 # --------------------------------------------------------------------------- #
@@ -249,6 +279,20 @@ def _make_dist_model(model_name):
     return GATNet(12, 8, 4, num_heads=2, dropout=0.0, use_batch_norm=False)
 
 
+def _install_mfg(dist_graph, masks):
+    """Install the per-layer MFG grids of ``masks`` (collective call).
+
+    Conv layer ``l`` runs over blocks keeping every edge that feeds a
+    destination required at level ``l + 1``, in original edge order.
+    """
+    layer_blocks = []
+    for mask in masks[1:]:
+        dst_mask = np.asarray(mask, dtype=bool)[dist_graph.global_node_ids]
+        layer_blocks.append([restrict_block_to_dst(block, dst_mask)
+                             for block in dist_graph.shard.blocks])
+    dist_graph.install_restricted_layers(layer_blocks, name="mfg")
+
+
 def _dist_worker(rank, comm, shard, *, model_name, weights, masks, features,
                  labels, seeds, use_mfg):
     # Worker threads share the global RNG, so replica parameters are shipped
@@ -258,7 +302,7 @@ def _dist_worker(rank, comm, shard, *, model_name, weights, masks, features,
         param.data[...] = value
     dist_graph = DistributedGraph(shard, comm, SARConfig("sar"))
     if use_mfg:
-        dist_graph.enable_mfg(masks)
+        _install_mfg(dist_graph, masks)
     dist_graph.begin_step()
     logits = model(dist_graph, Tensor(features[shard.global_node_ids]))
     local_seed = np.isin(shard.global_node_ids, seeds)
@@ -340,7 +384,7 @@ class TestDistributedSARParity:
 
         def worker(rank, comm, shard):
             dist_graph = DistributedGraph(shard, comm, SARConfig("sar"))
-            dist_graph.enable_mfg(masks)
+            _install_mfg(dist_graph, masks)
             dist_graph.begin_step()
             z = Tensor(features[shard.global_node_ids])
             dist_graph.aggregate_neighbors(z, op="sum")

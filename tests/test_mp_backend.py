@@ -15,6 +15,7 @@ import pytest
 
 from repro.core import SARConfig
 from repro.datasets import make_sbm_dataset
+from repro.distributed.cluster import run_distributed
 from repro.distributed.comm import STREAM_KEY_PREFIX
 from repro.distributed.mp_backend import WorkerFailedError, run_multiprocess
 from repro.graph import stochastic_block_model
@@ -42,6 +43,7 @@ def _collective_worker(rank, comm):
 def _stats_worker(rank, comm):
     payload = np.ones(3, dtype=np.float32)
     comm.exchange("s", {q: payload for q in range(comm.world_size) if q != rank})
+    comm.allgather(np.ones(2, dtype=np.float64), tag="gather")
     return dict(comm.stats.sent_by_tag), dict(comm.stats.received_by_tag)
 
 
@@ -150,12 +152,16 @@ class TestMultiprocessBackend:
             assert gathered == list(range(world_size))
 
     def test_exchange_stats_accounting(self):
-        # 3 float32 values to each of 2 peers = 24 bytes out and in per rank,
-        # all under the default "exchange" tag (self-delivery never counts).
+        # 3 float32 values to each of 2 peers = 24 bytes out and in per rank
+        # under the default "exchange" tag, plus 2 float64 values allgathered
+        # with each of 2 peers = 32 bytes under "gather" (self-delivery never
+        # counts).  The thread backend accounts both collectives identically.
         results = run_multiprocess(_stats_worker, world_size=3, timeout_s=120)
         for sent, received in results:
-            assert sent == {"exchange": 24}
-            assert received == {"exchange": 24}
+            assert sent == {"exchange": 24, "gather": 32}
+            assert received == {"exchange": 24, "gather": 32}
+        threaded = run_distributed(_stats_worker, 3, timeout_s=120)
+        assert results == threaded.results
 
     def test_sar_aggregation_matches_single_machine(self):
         graph, _ = stochastic_block_model([30, 30], p_in=0.15, p_out=0.03, seed=1)

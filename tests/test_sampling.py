@@ -384,16 +384,6 @@ class TestPlanReuse:
 # trainer integration
 # --------------------------------------------------------------------------- #
 class TestTrainerIntegration:
-    def test_sampler_and_mfg_seeds_are_exclusive(self, small_dataset):
-        model = GraphSageNet(small_dataset.feature_dim, 8, small_dataset.num_classes,
-                             num_layers=2, dropout=0.0, use_batch_norm=False)
-        config = TrainingConfig(
-            sampler=NeighborSamplingConfig(fanouts=(3, 3)),
-            mfg_seeds=small_dataset.train_indices(),
-        )
-        with pytest.raises(ValueError, match="mutually exclusive"):
-            FullBatchTrainer(model, small_dataset, config)
-
     def test_fanouts_must_match_model_layers(self, small_dataset):
         model = GraphSageNet(small_dataset.feature_dim, 8, small_dataset.num_classes,
                              num_layers=3, dropout=0.0, use_batch_norm=False)
@@ -419,8 +409,8 @@ class TestTrainerIntegration:
 
     @pytest.mark.slow
     def test_full_fanout_sampled_single_batch_matches_full_batch(self, small_dataset):
-        """One batch covering every train seed at fanout=-1 == MFG-restricted
-        training over the train seeds (same loss trajectory)."""
+        """One unshuffled batch covering every train seed at fanout=-1 (MFG
+        training over the train seeds) has the full-batch loss trajectory."""
         seeds = small_dataset.train_indices()
         common = dict(num_epochs=3, lr=0.05, seed=0, eval_every=0)
         model_kwargs = dict(num_layers=2, dropout=0.0, use_batch_norm=False)
@@ -429,7 +419,7 @@ class TestTrainerIntegration:
         baseline = FullBatchTrainer(
             GraphSageNet(small_dataset.feature_dim, 16, small_dataset.num_classes,
                          **model_kwargs),
-            small_dataset, TrainingConfig(mfg_seeds=seeds, **common),
+            small_dataset, TrainingConfig(**common),
         ).train()
 
         set_seed(0)
