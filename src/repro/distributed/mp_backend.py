@@ -9,29 +9,45 @@ band": multi-process on one big server).  It exists to demonstrate that the
 SAR algorithms only rely on the abstract :class:`Communicator` interface; the
 example/test keep the worker count and graph size small.
 
+There is one process model: :class:`MultiprocessServiceCluster` forks
+``world_size`` long-lived workers (``fork`` start method required) that
+build their state once and then answer jobs posted to all ranks.  Serving
+posts one job per batch; :func:`run_multiprocess` is a cluster that runs a
+single ``"run"`` job and reaps.
+
 Usage::
 
     from repro.distributed.mp_backend import run_multiprocess
-    results = run_multiprocess(worker_fn, world_size=2)
+    results = run_multiprocess(worker_fn, world_size=2, worker_args=shards)
 
-``worker_fn`` must be a module-level (picklable) function with the usual
-``(rank, comm, *args)`` signature.
+    with MultiprocessServiceCluster(factory, world_size=2) as cluster:
+        per_rank = cluster.request("predict", seeds)
 
-Failure semantics
------------------
+``worker_fn`` has the usual ``(rank, comm, *args)`` signature; ``factory``
+is ``(rank, comm) -> handler(kind, payload)``.  Both reach the children by
+fork, so closures are fine; job payloads and results are pickled.  Workers
+are daemonic, so a job cannot start processes of its own.
 
-* A worker that **raises** posts an error result; the parent writes an abort
-  flag into the shared store and breaks the barrier, so survivors blocked in
-  a collective unblock promptly (instead of spinning until their timeout),
-  post their own errors, and exit.  The parent raises
-  :class:`WorkerFailedError` naming the failing rank.
+Failure semantics (one job loop, so they hold for both entry points)
+---------------------------------------------------------------------
+
+* A worker whose job **raises** poisons the cluster (an abort flag in the
+  shared store, a broken barrier, a notified store condition) and posts its
+  error; peers blocked in the job's collectives unblock within one wait
+  slice.  The parent raises :class:`WorkerFailedError` naming the failing
+  rank.
 * A worker that **dies without posting anything** (killed, segfault,
   ``os._exit``) is detected by polling ``Process.is_alive`` alongside the
-  result queue; the parent aborts the cluster the same way, terminates any
-  survivors that do not exit within a short grace period, and raises naming
-  the dead rank and its exit code.
-* On every path — success, error, crash, timeout — no child process outlives
-  the :func:`run_multiprocess` call.
+  response queue; the parent poisons the cluster the same way and raises
+  naming the dead rank and its exit code.
+* After the first error, survivors get ``_ABORT_GRACE_S`` to post before
+  the parent raises anyway; without errors the job waits up to
+  ``timeout_s``.  Follow-on "cluster aborted" errors of survivors are not
+  reported as root causes.
+* A poisoned cluster fails every later job immediately, and ``stop()``
+  (stop sentinels, join, terminate -> kill, Manager shutdown) always
+  reaps: no child outlives the cluster or the :func:`run_multiprocess`
+  call.
 """
 
 from __future__ import annotations
@@ -231,140 +247,8 @@ class MultiprocessCommunicator(Communicator):
         return gathered
 
 
-def _mp_worker(rank: int, world_size: int, store, barrier, condition, worker_fn,
-               worker_arg, common_kwargs, result_queue, timeout_s: float) -> None:
-    comm = MultiprocessCommunicator(rank, world_size, store, barrier, condition,
-                                    timeout_s=timeout_s)
-    try:
-        if worker_arg is _NO_ARG:
-            result = worker_fn(rank, comm, **common_kwargs)
-        else:
-            result = worker_fn(rank, comm, worker_arg, **common_kwargs)
-        result_queue.put((rank, "ok", result))
-    except Exception as exc:  # noqa: BLE001 - report to parent, do not hang peers
-        result_queue.put((rank, "error", repr(exc)))
-
-
-class _NoArg:
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return "<no per-worker argument>"
-
-
-_NO_ARG = _NoArg()
-
-
-def run_multiprocess(worker_fn: Callable[..., Any], world_size: int,
-                     worker_args: Optional[Sequence[Any]] = None,
-                     timeout_s: float = _DEFAULT_TIMEOUT_S,
-                     **common_kwargs: Any) -> List[Any]:
-    """Run ``worker_fn`` on ``world_size`` separate processes and collect results.
-
-    The per-worker results are returned indexed by rank.  Any worker error —
-    an exception, a silent death, or a timeout — is re-raised in the parent
-    as :class:`WorkerFailedError` with the failing rank identified, and no
-    child process is left behind (see the module docstring for the exact
-    failure semantics).
-    """
-    if worker_args is not None and len(worker_args) != world_size:
-        raise ValueError(f"worker_args must have length {world_size}")
-    # Fork (the POSIX default) keeps worker functions picklable-by-reference and
-    # avoids re-importing the caller's module in the children.
-    ctx = mp.get_context("fork") if "fork" in mp.get_all_start_methods() else mp.get_context()
-    with mp.Manager() as manager:
-        store = manager.dict()
-        barrier = manager.Barrier(world_size)
-        condition = manager.Condition()
-        result_queue = manager.Queue()
-        processes: List[mp.process.BaseProcess] = []
-        for rank in range(world_size):
-            arg = worker_args[rank] if worker_args is not None else _NO_ARG
-            process = ctx.Process(
-                target=_mp_worker,
-                args=(rank, world_size, store, barrier, condition, worker_fn, arg,
-                      common_kwargs, result_queue, timeout_s),
-            )
-            process.start()
-            processes.append(process)
-
-        results: List[Any] = [None] * world_size
-        errors: List[str] = []
-        reported: set = set()
-        deadline = time.monotonic() + timeout_s
-        aborted = False
-
-        def _abort(message: str) -> None:
-            """Unblock every survivor and bound how long we keep waiting."""
-            nonlocal aborted, deadline
-            if aborted:
-                return
-            aborted = True
-            _poison_cluster(store, barrier, condition, message)
-            deadline = min(deadline, time.monotonic() + _ABORT_GRACE_S)
-
-        def _record(rank: int, status: str, payload: Any) -> None:
-            reported.add(rank)
-            if status == "ok":
-                results[rank] = payload
-            elif errors and "cluster aborted" in str(payload):
-                # Follow-on failure of a survivor we unblocked ourselves; the
-                # root cause is already recorded.
-                pass
-            else:
-                errors.append(f"rank {rank}: {payload}")
-                _abort(errors[-1])
-
-        try:
-            while len(reported) < world_size:
-                try:
-                    _record(*result_queue.get(timeout=_POLL_S))
-                    continue
-                except queue_mod.Empty:
-                    pass
-                if time.monotonic() > deadline:
-                    if not errors:
-                        missing = sorted(set(range(world_size)) - reported)
-                        errors.append(
-                            f"timed out after {timeout_s:.0f}s waiting for ranks {missing}"
-                        )
-                        _abort(errors[-1])
-                    break
-                crashed = [r for r in range(world_size)
-                           if r not in reported and not processes[r].is_alive()]
-                if not crashed:
-                    continue
-                # A dead rank's result may still be in flight through the
-                # Manager — drain once more before declaring it crashed.
-                try:
-                    _record(*result_queue.get(timeout=_POLL_S))
-                    continue
-                except queue_mod.Empty:
-                    pass
-                for rank in crashed:
-                    if rank not in reported:
-                        _record(rank, "error",
-                                "worker process died without posting a result "
-                                f"(exitcode {processes[rank].exitcode})")
-        finally:
-            # Leak nothing: give workers a moment to exit on their own, then
-            # escalate terminate → kill.
-            for process in processes:
-                process.join(timeout=2.0)
-            for process in processes:
-                if process.is_alive():
-                    process.terminate()
-            for process in processes:
-                if process.is_alive():
-                    process.join(timeout=5.0)
-                if process.is_alive():  # pragma: no cover - terminate ignored
-                    process.kill()
-                    process.join(timeout=5.0)
-        if errors:
-            raise WorkerFailedError("multiprocess workers failed: " + "; ".join(errors))
-    return results
-
-
 # --------------------------------------------------------------------------- #
-# long-lived service workers (request/response loop per forked process)
+# forked workers (one request/response job loop per process)
 # --------------------------------------------------------------------------- #
 
 #: request kinds reserved by the worker loop itself.
@@ -439,24 +323,16 @@ def _service_worker(rank: int, world_size: int, store, barrier, condition,
 class MultiprocessServiceCluster:
     """``world_size`` long-lived forked worker processes behind job queues.
 
-    :func:`run_multiprocess` forks, runs one function, and reaps — the right
-    shape for training jobs.  Serving needs the opposite lifecycle: workers
-    that build their state once (shard graph handles, feature stores,
-    caches) and then answer an open-ended stream of small requests.  This
-    cluster provides that loop:
+    The module's one process model (see the module docstring for the
+    failure semantics).  Workers build their state once (shard graph
+    handles, feature stores, caches) and then answer jobs:
 
     * every worker gets its own request queue; :meth:`request` posts one
       ``(kind, payload)`` job to **all** of them and blocks until every rank
       responded (responses cross one shared queue, matched by job id);
-    * while waiting, the parent polls ``Process.is_alive`` alongside the
-      response queue — a worker that dies without responding fails the job
-      with :class:`WorkerFailedError` naming the dead rank, after poisoning
-      the cluster so surviving workers blocked in the dead job's collectives
-      unblock promptly (no hang);
-    * a poisoned cluster fails every later :meth:`request` immediately;
-      :meth:`stop` remains the only teardown path and always reaps: stop
+    * :meth:`stop` is the only teardown path and always reaps: stop
       sentinels first, then join, then terminate -> kill stragglers, then
-      the Manager process itself — no child outlives it.
+      the Manager process itself.
 
     Requires the ``fork`` start method: workers inherit the factory's
     captured state (model, shards, feature matrices) by address-space copy
@@ -600,13 +476,14 @@ class MultiprocessServiceCluster:
         self._requests[rank].put((_CRASH_KIND, -1, None))
 
     def _collect(self, job_id: int) -> List[Any]:
-        """Drain responses for ``job_id`` with liveness polling (see class doc)."""
+        """Drain responses for ``job_id`` with liveness polling (see module doc)."""
         results: List[Any] = [None] * self.world_size
         reported: set = set()
         errors: List[str] = []
         deadline = time.monotonic() + self._timeout_s
 
         def _record(rank: int, status: str, payload: Any) -> None:
+            nonlocal deadline
             reported.add(rank)
             if status == "ok":
                 results[rank] = payload
@@ -615,6 +492,9 @@ class MultiprocessServiceCluster:
                 # the root cause is already recorded.
                 pass
             else:
+                if not errors:
+                    # Survivors get a bounded grace to post after the abort.
+                    deadline = min(deadline, time.monotonic() + _ABORT_GRACE_S)
                 errors.append(f"rank {rank}: {payload}")
                 self._poison(errors[-1])
 
@@ -634,12 +514,13 @@ class MultiprocessServiceCluster:
             if _drain_one():
                 continue
             if time.monotonic() > deadline:
-                missing = sorted(set(range(self.world_size)) - reported)
-                errors.append(
-                    f"timed out after {self._timeout_s:.0f}s waiting for "
-                    f"ranks {missing}"
-                )
-                self._poison(errors[-1])
+                if not errors:
+                    missing = sorted(set(range(self.world_size)) - reported)
+                    errors.append(
+                        f"timed out after {self._timeout_s:.0f}s waiting for "
+                        f"ranks {missing}"
+                    )
+                    self._poison(errors[-1])
                 break
             crashed = [r for r in range(self.world_size)
                        if r not in reported and not self._processes[r].is_alive()]
@@ -652,7 +533,7 @@ class MultiprocessServiceCluster:
             for rank in crashed:
                 if rank not in reported:
                     _record(rank, "error",
-                            "worker process died without responding "
+                            "worker process died without posting a result "
                             f"(exitcode {self._processes[rank].exitcode})")
         if errors:
             raise WorkerFailedError(
@@ -676,3 +557,26 @@ class MultiprocessServiceCluster:
 
     def __exit__(self, exc_type, exc, tb) -> None:
         self.stop()
+
+
+def run_multiprocess(worker_fn: Callable[..., Any], world_size: int,
+                     worker_args: Optional[Sequence[Any]] = None,
+                     timeout_s: float = _DEFAULT_TIMEOUT_S,
+                     **common_kwargs: Any) -> List[Any]:
+    """Run ``worker_fn`` on ``world_size`` forked processes; results by rank.
+
+    Rank ``r`` calls ``worker_fn(r, comm, worker_args[r], **common_kwargs)``
+    (no positional argument when ``worker_args`` is ``None``) as the single
+    job of a :class:`MultiprocessServiceCluster`, which is reaped before
+    this returns or raises :class:`WorkerFailedError`.
+    """
+    if worker_args is not None and len(worker_args) != world_size:
+        raise ValueError(f"worker_args must have length {world_size}")
+
+    def factory(rank: int, comm: Communicator) -> Callable:
+        args = [] if worker_args is None else [worker_args[rank]]
+        return lambda kind, payload: worker_fn(rank, comm, *args, **common_kwargs)
+
+    with MultiprocessServiceCluster(factory, world_size, timeout_s=timeout_s,
+                                    name="multiprocess") as cluster:
+        return cluster.request("run")

@@ -73,34 +73,22 @@ def _build_worker_store(spec, config: ServingConfig, book, rank: int,
     """Materialize rank ``rank``'s :class:`FeatureStore` from a checked spec.
 
     ``spec`` is whatever :meth:`_ShardServerBase._check_features` returned —
-    a shared global store, a per-worker store list, the global matrix, or a
-    per-worker owned-row matrix list.  Called once per worker; with
-    ``config.feature_store="kv"`` the returned
+    a shared global store, a per-worker store list, the global matrix, or
+    (``"kv"`` only) a per-worker owned-row matrix list.  Called once per
+    worker; with ``config.feature_store="kv"`` the returned
     :class:`~repro.store.PartitionedKVStore` publishes this rank's owned
-    rows through ``comm`` at construction (peers fetch them on demand), so
-    all workers must build their stores concurrently.
+    rows through ``comm`` at construction (peers fetch them on demand).
     """
     if isinstance(spec, FeatureStore):
         return spec
-    if isinstance(spec, list) and spec and isinstance(spec[0], FeatureStore):
+    if isinstance(spec, list) and isinstance(spec[0], FeatureStore):
         return spec[rank]
-    if isinstance(spec, np.ndarray):
-        own = spec[book.nodes_of(rank)]
-    else:  # per-worker owned-row matrices
-        own = spec[rank]
-    if config.feature_store == "kv":
-        return PartitionedKVStore(
-            comm, book, own, name="serving",
-            cache_bytes=config.feature_cache_bytes,
-        )
-    if isinstance(spec, np.ndarray):
-        matrix = spec
-    else:
-        matrix = np.empty((book.num_nodes, spec[0].shape[1]),
-                          dtype=spec[0].dtype)
-        for p in range(book.num_parts):
-            matrix[book.nodes_of(p)] = spec[p]
-    return DenseStore(matrix)
+    if config.feature_store != "kv":
+        return DenseStore(spec)
+    own = spec[book.nodes_of(rank)] if isinstance(spec, np.ndarray) else spec[rank]
+    return PartitionedKVStore(
+        comm, book, own, name="serving", cache_bytes=config.feature_cache_bytes
+    )
 
 
 class _ShardServerBase(_MicroBatchServerBase):
@@ -184,7 +172,14 @@ class _ShardServerBase(_MicroBatchServerBase):
                     f"worker {p} owns {expected} nodes but its feature "
                     f"entry has shape {rows.shape}"
                 )
-        return arrays
+        if self.config.feature_store == "kv":
+            return arrays
+        # Dense serving reads one global matrix: assemble it once here, not
+        # once per worker.
+        matrix = np.empty((book.num_nodes, arrays[0].shape[1]), dtype=arrays[0].dtype)
+        for p, rows in enumerate(arrays):
+            matrix[book.nodes_of(p)] = rows
+        return matrix
 
     def _features_dtype(self):
         """Served logit dtype, readable from the spec before any cluster is up."""
@@ -268,47 +263,9 @@ class DistributedInferenceServer(_ShardServerBase):
         self._dist_graphs: List[DistributedGraph] = []
         self._stores: List[FeatureStore] = []
         self._caches: List[Optional[EmbeddingCache]] = []
-        self._own_kv_stores: List[PartitionedKVStore] = []
         self._job_queues: List["queue.Queue"] = []
         self._workers: List[threading.Thread] = []
         self._version_counter = 1
-
-    # ------------------------------------------------------------------ #
-    # feature materialization
-    # ------------------------------------------------------------------ #
-    def _materialize_stores(self) -> List[FeatureStore]:
-        spec = self._features_spec
-        config = self.config
-        book = self.book
-        if isinstance(spec, FeatureStore):
-            return [spec] * self._world
-        if isinstance(spec, list) and spec and isinstance(spec[0], FeatureStore):
-            return list(spec)
-        if isinstance(spec, np.ndarray):
-            per_worker = [spec[book.nodes_of(p)] for p in range(self._world)]
-        else:  # per-worker owned-row matrices
-            per_worker = spec
-        if config.feature_store == "kv":
-            stores: List[FeatureStore] = []
-            for p in range(self._world):
-                kv = PartitionedKVStore(
-                    self._comms[p], book, per_worker[p], name="serving",
-                    cache_bytes=config.feature_cache_bytes,
-                )
-                self._own_kv_stores.append(kv)
-                stores.append(kv)
-            return stores
-        if isinstance(spec, np.ndarray):
-            matrix = spec
-        else:
-            matrix = np.empty(
-                (book.num_nodes, per_worker[0].shape[1]),
-                dtype=per_worker[0].dtype,
-            )
-            for p in range(self._world):
-                matrix[book.nodes_of(p)] = per_worker[p]
-        shared = DenseStore(matrix)
-        return [shared] * self._world
 
     # ------------------------------------------------------------------ #
     # cluster lifecycle
@@ -318,7 +275,10 @@ class DistributedInferenceServer(_ShardServerBase):
         self._comms, self._shared_store = create_thread_communicators(
             self._world, timeout_s=config.comm_timeout_s
         )
-        self._stores = self._materialize_stores()
+        self._stores = [
+            _build_worker_store(self._features_spec, config, self.book, p, self._comms[p])
+            for p in range(self._world)
+        ]
         self._dist_graphs = [None] * self._world
         self._caches = [
             EmbeddingCache(config.byte_budget, admission=config.cache_admission)
@@ -347,8 +307,12 @@ class DistributedInferenceServer(_ShardServerBase):
             jobs.put(_STOP)
         for thread in self._workers:
             thread.join(self.config.stop_timeout_s)
-        for kv in self._own_kv_stores:
-            kv.release()
+        # Release the KV stores built here, never the caller's stores.
+        spec = self._features_spec
+        given = spec if isinstance(spec, list) else [spec]
+        for store in self._stores:
+            if isinstance(store, PartitionedKVStore) and not any(store is item for item in given):
+                store.release()
 
     def _worker_loop(self, rank: int, init_future: Future) -> None:
         try:

@@ -33,7 +33,8 @@ inter-*worker* traffic of the cooperative walk crosses the Manager-backed
 communicator, which is honest but slow — see ``docs/serving.md`` for when
 the process backend is worth that tax.
 
-Failure semantics are inherited from the mp trainer: the frontend polls
+Failure semantics are those of the cluster's job loop
+(:mod:`repro.distributed.mp_backend`): the frontend polls
 ``Process.is_alive`` while waiting on responses, a shard process that dies
 mid-request fails every in-flight future with
 :class:`~repro.distributed.mp_backend.WorkerFailedError` naming the dead

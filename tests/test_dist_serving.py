@@ -236,6 +236,23 @@ def test_feature_forms_serve_identical_rows(dataset, form):
         assert stats["feature_store"]
 
 
+def test_per_worker_dense_features_become_one_shared_matrix(dataset):
+    # Owned-row matrices under feature_store="dense" are assembled into one
+    # global matrix at construction; every shard worker's store reads it.
+    model = _make_model(dataset)
+    reference = _reference_logits(model, dataset.graph, dataset.features)
+    ids = [7, 42, 100, 150]
+    shards = _make_shards(dataset, 2)
+    book = shards[0].book
+    features = [dataset.features[book.nodes_of(p)] for p in range(2)]
+    config = ServingConfig(backend="distributed", window_ms=0.0, feature_store="dense")
+    with create_server(model, shards, features, config) as server:
+        np.testing.assert_array_equal(server.predict(ids), reference[ids])
+        matrices = [store.matrix for store in server._stores]
+    assert all(matrix is matrices[0] for matrix in matrices)
+    np.testing.assert_array_equal(matrices[0], dataset.features)
+
+
 # --------------------------------------------------------------------------- #
 # the redesigned API surface
 # --------------------------------------------------------------------------- #

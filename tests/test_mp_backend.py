@@ -15,9 +15,14 @@ import pytest
 
 from repro.core import SARConfig
 from repro.datasets import make_sbm_dataset
+from repro.distributed import mp_backend
 from repro.distributed.cluster import run_distributed
 from repro.distributed.comm import STREAM_KEY_PREFIX
-from repro.distributed.mp_backend import WorkerFailedError, run_multiprocess
+from repro.distributed.mp_backend import (
+    MultiprocessServiceCluster,
+    WorkerFailedError,
+    run_multiprocess,
+)
 from repro.graph import stochastic_block_model
 from repro.partition import PartitionBook, create_shards, partition_graph
 from repro.sample import NeighborSamplingConfig, build_sampling_plan
@@ -128,6 +133,16 @@ def _dying_peer_fetch_worker(rank, comm):
     if rank == 1:
         os._exit(5)
     return float(comm.fetch(1, "never-published")[0])
+
+
+def _busy_peer_service(rank, comm):
+    def handler(kind, seconds):
+        if rank == 1:
+            raise ValueError("service boom")
+        time.sleep(seconds)  # computes without touching the communicator
+        return True
+
+    return handler
 
 
 def _assert_no_children(timeout_s: float = 10.0) -> None:
@@ -242,5 +257,24 @@ class TestMultiprocessBackend:
         _assert_no_children()
 
     def test_worker_args_length_validated(self):
-        with pytest.raises(ValueError):
-            run_multiprocess(_collective_worker, world_size=2, worker_args=[1])
+        for world_size, worker_args in [(2, [1]), (0, None)]:
+            with pytest.raises(ValueError):
+                run_multiprocess(_collective_worker, world_size=world_size,
+                                 worker_args=worker_args)
+
+    @pytest.mark.slow
+    def test_service_error_bounds_wait_for_busy_peer(self, monkeypatch):
+        # Rank 1 raises while rank 0 computes for 20 s without touching the
+        # communicator, so poisoning cannot cut it short.  The job must fail
+        # once the abort grace runs out, not when the busy peer finishes,
+        # and report the root cause rather than a timeout.
+        monkeypatch.setattr(mp_backend, "_ABORT_GRACE_S", 2.0)
+        with MultiprocessServiceCluster(_busy_peer_service, world_size=2,
+                                        timeout_s=120) as cluster:
+            start = time.monotonic()
+            with pytest.raises(WorkerFailedError, match="service boom") as excinfo:
+                cluster.request("run", 20.0)
+            elapsed = time.monotonic() - start
+        assert elapsed < 10
+        assert "timed out" not in str(excinfo.value)
+        _assert_no_children()
