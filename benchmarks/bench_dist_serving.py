@@ -10,12 +10,12 @@ latency at 2 and 4 shards against the single-machine server on the
 identical Zipf workload, cold and warm caches, plus the halo / frontier
 bytes the cluster moved per pass.
 
-``--backend`` selects the cluster substrate: ``thread``
-(:class:`~repro.serving.DistributedInferenceServer`, shard worker threads —
-rows named ``shards{N}_*``), ``mp``
-(:class:`~repro.serving.MultiprocessInferenceServer`, one forked process
-per shard crossing a Manager-backed communicator — rows named ``mp{N}_*``),
-or ``both`` (the default, and what the committed baseline contains).  The
+``--backend`` selects the cluster substrate the one shard service runs
+on: ``thread`` (``ServingConfig(backend="distributed")``, shard worker
+threads — rows named ``shards{N}_*``), ``mp``
+(``ServingConfig(backend="mp")``, one forked process per shard crossing a
+Manager-backed communicator — rows named ``mp{N}_*``), or ``both`` (the
+default, and what the committed baseline contains).  The
 mp rows are expected to be much slower than the thread rows at these tiny
 benchmark sizes: every inter-worker byte is pickled through multiprocessing
 queues and Manager proxies, a constant tax the small graphs never amortize

@@ -47,6 +47,15 @@ SERVE_FRONTIER_TAG = "serve_frontier"
 SERVE_CONTROL_TAG = "serve_ctl"
 
 
+class ClusterAborted(RuntimeError):
+    """Raised by a poisoned communicator: another worker (or the parent) failed.
+
+    Both backends raise it from every blocking wait once the cluster is
+    aborted, so callers can tell a survivor's follow-on error from a root
+    cause by type.
+    """
+
+
 @dataclass
 class CommStats:
     """Per-worker communication counters (bytes and message counts).

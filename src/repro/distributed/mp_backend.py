@@ -9,11 +9,12 @@ band": multi-process on one big server).  It exists to demonstrate that the
 SAR algorithms only rely on the abstract :class:`Communicator` interface; the
 example/test keep the worker count and graph size small.
 
-There is one process model: :class:`MultiprocessServiceCluster` forks
-``world_size`` long-lived workers (``fork`` start method required) that
-build their state once and then answer jobs posted to all ranks.  Serving
-posts one job per batch; :func:`run_multiprocess` is a cluster that runs a
-single ``"run"`` job and reaps.
+There is one process model: :class:`MultiprocessServiceCluster` is the
+forked transport of :class:`~repro.distributed.service.ServiceCluster`
+(``fork`` start method required): ``world_size`` long-lived workers build
+their state once and then answer jobs posted to all ranks.  Serving posts
+one job per batch; :func:`run_multiprocess` is a cluster that runs a single
+``"run"`` job and reaps.
 
 Usage::
 
@@ -26,56 +27,40 @@ Usage::
 ``worker_fn`` has the usual ``(rank, comm, *args)`` signature; ``factory``
 is ``(rank, comm) -> handler(kind, payload)``.  Both reach the children by
 fork, so closures are fine; job payloads and results are pickled.  Workers
-are daemonic, so a job cannot start processes of its own.
-
-Failure semantics (one job loop, so they hold for both entry points)
----------------------------------------------------------------------
-
-* A worker whose job **raises** poisons the cluster (an abort flag in the
-  shared store, a broken barrier, a notified store condition) and posts its
-  error; peers blocked in the job's collectives unblock within one wait
-  slice.  The parent raises :class:`WorkerFailedError` naming the failing
-  rank.
-* A worker that **dies without posting anything** (killed, segfault,
-  ``os._exit``) is detected by polling ``Process.is_alive`` alongside the
-  response queue; the parent poisons the cluster the same way and raises
-  naming the dead rank and its exit code.
-* After the first error, survivors get ``_ABORT_GRACE_S`` to post before
-  the parent raises anyway; without errors the job waits up to
-  ``timeout_s``.  Follow-on "cluster aborted" errors of survivors are not
-  reported as root causes.
-* A poisoned cluster fails every later job immediately, and ``stop()``
-  (stop sentinels, join, terminate -> kill, Manager shutdown) always
-  reaps: no child outlives the cluster or the :func:`run_multiprocess`
-  call.
+are daemonic, so a job cannot start processes of its own.  The failure
+semantics are those of the shared job loop (:mod:`repro.distributed.
+service`), for both entry points; a dead worker is reported with its exit
+code, and ``stop()`` reaps with terminate -> kill and a Manager shutdown, so
+no child outlives the cluster or the :func:`run_multiprocess` call.
 """
 
 from __future__ import annotations
 
+import functools
 import multiprocessing as mp
 import os
-import queue as queue_mod
-import threading
 import time
 from typing import Any, Callable, Dict, List, Optional, Sequence
 
 import numpy as np
 
-from repro.distributed.comm import STREAM_KEY_PREFIX, Communicator, reduce_arrays
+from repro.distributed.comm import (
+    STREAM_KEY_PREFIX,
+    ClusterAborted,
+    Communicator,
+    reduce_arrays,
+)
+from repro.distributed.service import (
+    _DEFAULT_TIMEOUT_S,
+    ServiceCluster,
+    WorkerFailedError,
+    _service_worker,
+)
 
-_DEFAULT_TIMEOUT_S = 300.0
-#: parent-side liveness-check interval while draining the result queue
-_POLL_S = 0.2
 #: bounded wait slice while a worker is parked on the store condition
 _WAIT_SLICE_S = 0.1
-#: how long survivors get to post their errors after the cluster aborts
-_ABORT_GRACE_S = 10.0
 #: store key carrying the abort message (rank ``-1`` collides with no worker)
 _ABORT_KEY = (-1, "__abort__")
-
-
-class WorkerFailedError(RuntimeError):
-    """One or more worker processes raised, died, or timed out."""
 
 
 def _poison_cluster(store, barrier, condition, message: str) -> None:
@@ -129,7 +114,7 @@ class MultiprocessCommunicator(Communicator):
     def _check_abort(self) -> None:
         message = self._store.get(_ABORT_KEY)
         if message is not None:
-            raise WorkerFailedError(f"rank {self.rank}: cluster aborted: {message}")
+            raise ClusterAborted(f"rank {self.rank}: cluster aborted: {message}")
 
     def publish(self, key: str, array: np.ndarray) -> None:
         self._put_and_notify((self.rank, key), np.asarray(array))
@@ -248,126 +233,34 @@ class MultiprocessCommunicator(Communicator):
 
 
 # --------------------------------------------------------------------------- #
-# forked workers (one request/response job loop per process)
+# forked workers (the service job loop, one process per rank)
 # --------------------------------------------------------------------------- #
 
-#: request kinds reserved by the worker loop itself.
-_STOP_KIND = "__stop__"
-_CRASH_KIND = "__crash__"
-#: job id carrying each worker's startup acknowledgement.
-_INIT_JOB = 0
-#: how long stop() lets workers drain before escalating terminate -> kill.
-_STOP_GRACE_S = 2.0
-
-
-def portable(payload: Any) -> Any:
-    """Make a response payload cheap and safe to ship through an mp queue.
-
-    Queue transport pickles every payload; a non-contiguous array (a slice,
-    a transpose) pickles through a private copy anyway, so taking the
-    contiguous copy *here* keeps the feeder thread from doing it and makes
-    the cost explicit at the call site.  Tuples/lists/dicts are walked;
-    everything else is returned untouched (and must be picklable).
-    """
-    if isinstance(payload, np.ndarray):
-        return np.ascontiguousarray(payload)
-    if isinstance(payload, tuple):
-        return tuple(portable(item) for item in payload)
-    if isinstance(payload, list):
-        return [portable(item) for item in payload]
-    if isinstance(payload, dict):
-        return {key: portable(value) for key, value in payload.items()}
-    return payload
-
-
-def _service_worker(rank: int, world_size: int, store, barrier, condition,
-                    requests, responses, service_factory, timeout_s: float) -> None:
-    """Long-lived request loop of one forked service worker.
-
-    ``service_factory(rank, comm)`` builds the worker's state (graph handles,
-    stores, caches — collective construction is fine: every worker runs it
-    concurrently) and returns a ``handler(kind, payload)`` callable.  The
-    loop then answers ``(kind, job_id, payload)`` requests until the stop
-    sentinel arrives.  A handler exception poisons the cluster before the
-    error response is posted, so peers blocked in the failed job's
-    collectives unblock within one wait slice instead of timing out.
-    """
+def _forked_worker(rank: int, world_size: int, store, barrier, condition,
+                   requests, responses, service_factory, timeout_s: float) -> None:
+    """Process target: the shared job loop over a Manager communicator."""
     comm = MultiprocessCommunicator(rank, world_size, store, barrier, condition,
                                     timeout_s=timeout_s)
-    try:
-        handler = service_factory(rank, comm)
-    except BaseException as exc:  # noqa: BLE001 - report to parent, unblock peers
-        _poison_cluster(store, barrier, condition,
-                        f"rank {rank} failed to initialize: {exc!r}")
-        responses.put((rank, _INIT_JOB, "error", repr(exc)))
-        return
-    responses.put((rank, _INIT_JOB, "ok", None))
-    while True:
-        kind, job_id, payload = requests.get()
-        if kind == _STOP_KIND:
-            break
-        if kind == _CRASH_KIND:
-            # Fault injection (tests): die mid-job without posting anything,
-            # exactly like a segfault between dequeue and response.
-            os._exit(13)
-        try:
-            result = handler(kind, payload)
-        except BaseException as exc:  # noqa: BLE001 - keep the loop alive
-            _poison_cluster(store, barrier, condition,
-                            f"rank {rank} failed on job {job_id}: {exc!r}")
-            responses.put((rank, job_id, "error", repr(exc)))
-            continue
-        responses.put((rank, job_id, "ok", portable(result)))
+    poison = functools.partial(_poison_cluster, store, barrier, condition)
+    if not _service_worker(rank, comm, requests, responses, service_factory, poison):
+        # Injected crash: die like a segfault, skipping every exit handler.
+        os._exit(13)
 
 
-class MultiprocessServiceCluster:
-    """``world_size`` long-lived forked worker processes behind job queues.
-
-    The module's one process model (see the module docstring for the
-    failure semantics).  Workers build their state once (shard graph
-    handles, feature stores, caches) and then answer jobs:
-
-    * every worker gets its own request queue; :meth:`request` posts one
-      ``(kind, payload)`` job to **all** of them and blocks until every rank
-      responded (responses cross one shared queue, matched by job id);
-    * :meth:`stop` is the only teardown path and always reaps: stop
-      sentinels first, then join, then terminate -> kill stragglers, then
-      the Manager process itself.
+class MultiprocessServiceCluster(ServiceCluster):
+    """:class:`~repro.distributed.service.ServiceCluster` on forked processes.
 
     Requires the ``fork`` start method: workers inherit the factory's
     captured state (model, shards, feature matrices) by address-space copy
-    instead of pickling.  Request/response payloads *do* cross a pickling
+    instead of pickling.  Job payloads and results *do* cross a pickling
     queue — keep them to the per-job data (seed ids, logit rows, state
-    dicts).
+    dicts).  Poisoning sets an abort flag in the Manager store, breaks the
+    Manager barrier and notifies the store condition; :meth:`stop` reaps
+    stragglers with terminate -> kill, then shuts the Manager down, so no
+    child outlives the cluster.
     """
 
-    def __init__(self, service_factory: Callable[[int, Communicator], Callable],
-                 world_size: int, timeout_s: float = _DEFAULT_TIMEOUT_S,
-                 name: str = "service"):
-        if world_size < 1:
-            raise ValueError(f"world_size must be >= 1, got {world_size}")
-        self.world_size = world_size
-        self.name = name
-        self._service_factory = service_factory
-        self._timeout_s = timeout_s
-        self._lock = threading.Lock()
-        self._manager = None
-        self._store = None
-        self._barrier = None
-        self._condition = None
-        self._requests: List[Any] = []
-        self._responses = None
-        self._processes: List[mp.process.BaseProcess] = []
-        self._job_counter = _INIT_JOB
-        self._started = False
-        self._stopped = False
-        self._failure: Optional[str] = None
-
-    # -- lifecycle -------------------------------------------------------- #
-    def start(self) -> "MultiprocessServiceCluster":
-        """Fork the workers and wait for every rank's startup ack."""
-        if self._started:
-            raise RuntimeError("cluster is already started")
+    def _launch(self) -> None:
         if "fork" not in mp.get_all_start_methods():
             raise RuntimeError(
                 "MultiprocessServiceCluster requires the 'fork' start method "
@@ -376,187 +269,44 @@ class MultiprocessServiceCluster:
             )
         ctx = mp.get_context("fork")
         self._manager = mp.Manager()
-        self._store = self._manager.dict()
-        self._barrier = self._manager.Barrier(self.world_size)
-        self._condition = self._manager.Condition()
+        store = self._manager.dict()
+        barrier = self._manager.Barrier(self.world_size)
+        condition = self._manager.Condition()
+        self._poison_workers = functools.partial(_poison_cluster, store, barrier, condition)
         self._requests = [ctx.Queue() for _ in range(self.world_size)]
         self._responses = ctx.Queue()
-        self._processes = [
+        self._workers = [
             ctx.Process(
-                target=_service_worker,
-                args=(rank, self.world_size, self._store, self._barrier,
-                      self._condition, self._requests[rank], self._responses,
+                target=_forked_worker,
+                args=(rank, self.world_size, store, barrier, condition,
+                      self._requests[rank], self._responses,
                       self._service_factory, self._timeout_s),
                 name=f"{self.name}-{rank}",
                 daemon=True,
             )
             for rank in range(self.world_size)
         ]
-        self._started = True
-        for process in self._processes:
-            process.start()
-        try:
-            self._collect(_INIT_JOB)
-        except BaseException:
-            self.stop()
-            raise
-        return self
 
-    def stop(self) -> None:
-        """Reap every worker (graceful drain, then terminate -> kill) — idempotent."""
-        if self._stopped or not self._started:
-            self._stopped = True
-            return
-        self._stopped = True
-        for process, requests in zip(self._processes, self._requests):
-            if process.is_alive():
-                try:
-                    requests.put((_STOP_KIND, -1, None))
-                except Exception:  # pragma: no cover - queue torn down
-                    pass
-        for process in self._processes:
-            process.join(timeout=_STOP_GRACE_S)
-        for process in self._processes:
+    def _reap(self) -> None:
+        for process in self._workers:
             if process.is_alive():
                 process.terminate()
-        for process in self._processes:
+        for process in self._workers:
             if process.is_alive():
                 process.join(timeout=5.0)
             if process.is_alive():  # pragma: no cover - terminate ignored
                 process.kill()
                 process.join(timeout=5.0)
-        if self._manager is not None:
-            self._manager.shutdown()
-            self._manager = None
+        self._manager.shutdown()
 
-    # -- introspection ---------------------------------------------------- #
+    def _death_note(self, rank: int) -> str:
+        return ("worker process died without posting a result "
+                f"(exitcode {self._workers[rank].exitcode})")
+
     @property
     def processes(self) -> List[mp.process.BaseProcess]:
         """The worker processes, indexed by rank (for liveness checks)."""
-        return list(self._processes)
-
-    @property
-    def running(self) -> bool:
-        return (self._started and not self._stopped
-                and all(p.is_alive() for p in self._processes))
-
-    @property
-    def failure(self) -> Optional[str]:
-        """The message that poisoned the cluster, or ``None`` while healthy."""
-        return self._failure
-
-    # -- job dispatch ------------------------------------------------------ #
-    def request(self, kind: str, payload: Any = None) -> List[Any]:
-        """Run one job on every worker; per-rank responses indexed by rank.
-
-        Thread-safe (jobs from concurrent callers are serialized, so every
-        worker sees the same job order).  Raises :class:`WorkerFailedError`
-        if any worker errors or dies before responding.
-        """
-        with self._lock:
-            if not self._started or self._stopped:
-                raise RuntimeError("cluster is not running")
-            if self._failure is not None:
-                raise WorkerFailedError(
-                    f"cluster is poisoned by an earlier failure: {self._failure}"
-                )
-            self._job_counter += 1
-            job_id = self._job_counter
-            for requests in self._requests:
-                requests.put((kind, job_id, portable(payload)))
-            return self._collect(job_id)
-
-    def inject_crash(self, rank: int) -> None:
-        """Fault injection: make ``rank`` die mid-loop before its next job.
-
-        The crash sentinel is queued in order, so a job posted *after* this
-        call finds the rank already dead — the deterministic way for tests
-        to exercise the mid-request failure path.
-        """
-        self._requests[rank].put((_CRASH_KIND, -1, None))
-
-    def _collect(self, job_id: int) -> List[Any]:
-        """Drain responses for ``job_id`` with liveness polling (see module doc)."""
-        results: List[Any] = [None] * self.world_size
-        reported: set = set()
-        errors: List[str] = []
-        deadline = time.monotonic() + self._timeout_s
-
-        def _record(rank: int, status: str, payload: Any) -> None:
-            nonlocal deadline
-            reported.add(rank)
-            if status == "ok":
-                results[rank] = payload
-            elif errors and "cluster aborted" in str(payload):
-                # Follow-on failure of a survivor the poisoning unblocked;
-                # the root cause is already recorded.
-                pass
-            else:
-                if not errors:
-                    # Survivors get a bounded grace to post after the abort.
-                    deadline = min(deadline, time.monotonic() + _ABORT_GRACE_S)
-                errors.append(f"rank {rank}: {payload}")
-                self._poison(errors[-1])
-
-        def _drain_one() -> bool:
-            try:
-                rank, jid, status, payload = self._responses.get(timeout=_POLL_S)
-            except queue_mod.Empty:
-                return False
-            if jid == job_id:
-                _record(rank, status, payload)
-            # Stale responses (an aborted earlier job's stragglers) are
-            # dropped: their job already raised in the parent.
-            return True
-
-        while len(reported) < self.world_size and not (errors and
-                                                       reported >= self._live_or_reported(reported)):
-            if _drain_one():
-                continue
-            if time.monotonic() > deadline:
-                if not errors:
-                    missing = sorted(set(range(self.world_size)) - reported)
-                    errors.append(
-                        f"timed out after {self._timeout_s:.0f}s waiting for "
-                        f"ranks {missing}"
-                    )
-                    self._poison(errors[-1])
-                break
-            crashed = [r for r in range(self.world_size)
-                       if r not in reported and not self._processes[r].is_alive()]
-            if not crashed:
-                continue
-            # A dead rank's response may still be in flight through the
-            # queue feeder — drain once more before declaring it crashed.
-            if _drain_one():
-                continue
-            for rank in crashed:
-                if rank not in reported:
-                    _record(rank, "error",
-                            "worker process died without posting a result "
-                            f"(exitcode {self._processes[rank].exitcode})")
-        if errors:
-            raise WorkerFailedError(
-                f"{self.name} workers failed: " + "; ".join(errors)
-            )
-        return results
-
-    def _live_or_reported(self, reported: set) -> set:
-        """Ranks we can still expect a response from, plus those heard."""
-        return reported | {
-            r for r in range(self.world_size) if self._processes[r].is_alive()
-        }
-
-    def _poison(self, message: str) -> None:
-        if self._failure is None:
-            self._failure = message
-        _poison_cluster(self._store, self._barrier, self._condition, message)
-
-    def __enter__(self) -> "MultiprocessServiceCluster":
-        return self.start()
-
-    def __exit__(self, exc_type, exc, tb) -> None:
-        self.stop()
+        return list(self._workers)
 
 
 def run_multiprocess(worker_fn: Callable[..., Any], world_size: int,

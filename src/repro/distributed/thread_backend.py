@@ -7,23 +7,33 @@ process so the benchmarks can run on a laptop.  NumPy releases the GIL for
 the heavy kernels, so workers do overlap; per-worker *compute* time is
 measured with thread CPU clocks (see :mod:`repro.utils.timing`) to stay
 independent of host core counts.
+
+Two launchers run workers on it: :class:`~repro.distributed.cluster.
+SimulatedCluster` runs one function per worker to completion (training,
+benchmarks), and :class:`ThreadServiceCluster` keeps workers alive to answer
+jobs (thread-backed serving) through the shared job loop of
+:mod:`repro.distributed.service`.
 """
 
 from __future__ import annotations
 
+import queue
 import threading
 import time
 from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
-from repro.distributed.comm import STREAM_KEY_PREFIX, Communicator, CommStats, reduce_arrays
+from repro.distributed.comm import (
+    STREAM_KEY_PREFIX,
+    ClusterAborted,
+    Communicator,
+    CommStats,
+    reduce_arrays,
+)
+from repro.distributed.service import ServiceCluster, _service_worker
 
 _DEFAULT_TIMEOUT_S = 120.0
-
-
-class ClusterAborted(RuntimeError):
-    """Raised on all workers when any worker fails, to avoid deadlocks."""
 
 
 class SharedStore:
@@ -258,3 +268,30 @@ def create_thread_communicators(world_size: int,
         for rank in range(world_size)
     ]
     return comms, store
+
+
+class ThreadServiceCluster(ServiceCluster):
+    """:class:`~repro.distributed.service.ServiceCluster` on daemon threads.
+
+    Workers share the parent's address space, so a handler works on the
+    very objects its factory closed over, not on copies.  Poisoning is
+    :meth:`SharedStore.abort`.  A thread cannot be killed: one still stuck
+    in a job after :meth:`stop`'s grace is left behind as a daemon, on a
+    cluster that is already poisoned.
+    """
+
+    def _launch(self) -> None:
+        comms, store = create_thread_communicators(self.world_size, timeout_s=self._timeout_s)
+        self._poison_workers = store.abort
+        self._requests = [queue.Queue() for _ in range(self.world_size)]
+        self._responses = queue.Queue()
+        self._workers = [
+            threading.Thread(
+                target=_service_worker,
+                args=(rank, comms[rank], self._requests[rank], self._responses,
+                      self._service_factory, store.abort),
+                name=f"{self.name}-{rank}",
+                daemon=True,
+            )
+            for rank in range(self.world_size)
+        ]

@@ -2,11 +2,10 @@
 
 Build servers with :func:`create_server`: a :class:`ServingConfig` selects
 ``backend="local"`` (one machine holding the whole graph —
-:class:`InferenceServer`), ``backend="distributed"`` (a micro-batching
-frontend over per-shard worker threads —
-:class:`DistributedInferenceServer`), or ``backend="mp"`` (the same
-frontend over one forked worker *process* per shard —
-:class:`MultiprocessInferenceServer`), and all implement
+:class:`InferenceServer`) or a :class:`DistributedInferenceServer`, a
+micro-batching frontend over one shard service per partition, run on
+worker threads (``backend="distributed"``) or on one forked worker
+*process* per shard (``backend="mp"``).  Both classes implement
 :class:`ServerProtocol`
 (``start/stop/predict/predict_async/update/stats/version``) with one
 documented ``stats()`` shape.
@@ -20,14 +19,12 @@ from repro.serving.cache import EmbeddingCache
 from repro.serving.config import ServerProtocol, ServingConfig
 from repro.serving.server import InferenceServer
 from repro.serving.distributed import DistributedInferenceServer
-from repro.serving.mp_server import MultiprocessInferenceServer
 from repro.serving.factory import create_server
 
 __all__ = [
     "EmbeddingCache",
     "InferenceServer",
     "DistributedInferenceServer",
-    "MultiprocessInferenceServer",
     "ServerProtocol",
     "ServingConfig",
     "create_server",

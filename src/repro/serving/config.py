@@ -1,12 +1,13 @@
-"""Serving configuration and the server protocol shared by both backends.
+"""Serving configuration and the server protocol shared by every backend.
 
 One :class:`ServingConfig` (mirroring :class:`repro.training.TrainingConfig`)
 carries every serving knob — the micro-batching window, the embedding-cache
 byte budget and admission policy, timeouts, and the ``backend`` selector —
 and :func:`repro.serving.create_server` turns it plus a model, a graph (or
-shard list) and features (or a feature store) into the right server.  Both
-:class:`repro.serving.InferenceServer` and
-:class:`repro.serving.DistributedInferenceServer` implement
+shard list) and features (or a feature store) into the right server:
+:class:`repro.serving.InferenceServer` for ``"local"``,
+:class:`repro.serving.DistributedInferenceServer` for the two shard
+backends ``"distributed"`` and ``"mp"``.  Both classes implement
 :class:`ServerProtocol`, so callers can hold either behind one type.
 """
 
@@ -32,7 +33,7 @@ class ServingConfig:
 
     #: ``"local"`` serves one machine holding the whole graph;
     #: ``"distributed"`` fronts a partitioned graph with per-shard worker
-    #: threads; ``"mp"`` fronts the same shards with one forked worker
+    #: threads; ``"mp"`` runs the same shard service with one forked worker
     #: *process* per shard (real parallelism, queue-serialized payloads —
     #: see ``docs/serving.md`` for the trade).
     backend: str = "local"

@@ -12,43 +12,56 @@ their own byte-bounded :class:`~repro.serving.cache.EmbeddingCache` missed
 The request path reuses the single-machine micro-batching frontend
 (:class:`~repro.serving.server._MicroBatchServerBase`): client threads call
 ``predict(node_ids)``, a ``window_ms`` of requests coalesces into one
-deduplicated ascending seed set, and the frontend dispatches that seed set
-to every shard worker thread (routing *within* the batch is by the
+deduplicated ascending seed set, and the frontend posts that seed set as
+one job to every shard worker (routing *within* the batch is by the
 :class:`~repro.partition.book.PartitionBook` — each worker computes and
 returns exactly its owned seeds' logit rows, scattered back into request
 order by the frontend).
+
+Both shard backends run the same shard service (:func:`_make_shard_service`)
+over the same job loop (:class:`~repro.distributed.service.ServiceCluster`):
+``backend="distributed"`` on worker threads
+(:class:`~repro.distributed.thread_backend.ThreadServiceCluster`) and
+``backend="mp"`` on one forked process per shard
+(:class:`~repro.distributed.mp_backend.MultiprocessServiceCluster`), so
+each failure contract holds the same way on both.  They differ in one
+thing, state propagation: thread workers share the parent's model and
+feature stores, while forked workers hold snapshots.  So ``update()``
+ships the parent's new ``state_dict()`` only to processes, and a
+``replace()`` on a :class:`~repro.store.FeatureStore` passed as features
+is shipped (as the full matrix, before the next batch) only to processes.
+A raw matrix mutated in place in the parent is not seen by forked workers.
 
 Every served logit is **bit-identical** to the single-machine
 :class:`~repro.serving.InferenceServer` on the same graph: the per-worker
 restricted blocks reduce each destination in the single-machine order (see
 ``distributed_restricted_logits``), and cached rows are bit-identical to
-recomputation.  ``update()`` applies the model mutation on the frontend
-thread (worker threads are idle between batches) and bumps every worker's
-cache version; a feature-store ``replace()`` is picked up by each worker's
-store-version fold-in at the next batch, so stale activations are never
-served from any shard.
+recomputation.  Every ``update()`` bumps every worker's cache version, and
+a store version change folds into each worker's cache at the next batch,
+so stale activations are never served from any shard.
 
 Construct through :func:`repro.serving.create_server` with
-``ServingConfig(backend="distributed")``.
+``ServingConfig(backend="distributed")`` or ``ServingConfig(backend="mp")``.
 """
 
 from __future__ import annotations
 
-import queue
-import threading
-from concurrent.futures import Future
 from typing import Callable, List, Optional, Sequence
 
 import numpy as np
 
 from repro.core.dist_graph import DistributedGraph
+from repro.distributed.mp_backend import MultiprocessServiceCluster
+from repro.distributed.thread_backend import ThreadServiceCluster
 from repro.partition.shard import ShardedGraph
 from repro.sample.inference import distributed_restricted_logits
 from repro.serving.cache import EmbeddingCache
 from repro.serving.config import ServingConfig
-from repro.serving.server import _STOP, _MicroBatchServerBase
+from repro.serving.server import _MicroBatchServerBase
 from repro.store import DenseStore, FeatureStore, PartitionedKVStore
-from repro.distributed.thread_backend import create_thread_communicators
+
+#: the cluster each shard backend runs the shard service on.
+_CLUSTERS = {"distributed": ThreadServiceCluster, "mp": MultiprocessServiceCluster}
 
 
 def _aggregate_counters(dicts: List[dict]) -> Optional[dict]:
@@ -72,10 +85,10 @@ def _build_worker_store(spec, config: ServingConfig, book, rank: int,
                         comm) -> FeatureStore:
     """Materialize rank ``rank``'s :class:`FeatureStore` from a checked spec.
 
-    ``spec`` is whatever :meth:`_ShardServerBase._check_features` returned —
-    a shared global store, a per-worker store list, the global matrix, or
-    (``"kv"`` only) a per-worker owned-row matrix list.  Called once per
-    worker; with ``config.feature_store="kv"`` the returned
+    ``spec`` is whatever :meth:`DistributedInferenceServer._check_features`
+    returned — a shared global store, a per-worker store list, the global
+    matrix, or (``"kv"`` only) a per-worker owned-row matrix list.  Called
+    once per worker; with ``config.feature_store="kv"`` the returned
     :class:`~repro.store.PartitionedKVStore` publishes this rank's owned
     rows through ``comm`` at construction (peers fetch them on demand).
     """
@@ -91,22 +104,120 @@ def _build_worker_store(spec, config: ServingConfig, book, rank: int,
     )
 
 
-class _ShardServerBase(_MicroBatchServerBase):
-    """Shared frontend of the shard-backed serving backends.
+def _make_shard_service(model, shards, spec, config: ServingConfig, book):
+    """Build the service factory every shard worker runs, on either backend.
 
-    Both the thread-backed :class:`DistributedInferenceServer` and the
-    process-backed :class:`~repro.serving.mp_server.
-    MultiprocessInferenceServer` serve a shard list over the same
-    micro-batching frontend; this base holds what is identical between
-    them — shard/book validation, features-spec checking, and the scatter
-    of per-worker owned logit rows back into batch seed order.
+    Returned as a closure over the parent's objects: thread workers share
+    them, forked workers get copy-on-write copies without any pickling.
+    The factory runs once on each worker and returns the
+    ``handler(kind, payload)`` the job loop calls; the per-worker graph
+    handle, store and cache live with the worker.
     """
 
-    def __init__(self, model, shards: Sequence[ShardedGraph], features,
-                 config: ServingConfig):
-        if config.backend != self.backend:
+    def factory(rank: int, comm):
+        dist_graph = DistributedGraph(
+            shards[rank], comm,
+            restriction_cache_capacity=config.restriction_slots,
+        )
+        store = _build_worker_store(spec, config, book, rank, comm)
+        cache = (
+            EmbeddingCache(config.byte_budget, admission=config.cache_admission)
+            if config.byte_budget is not None else None
+        )
+        state = {"store_version_seen": store.version}
+
+        def handler(kind: str, payload):
+            if kind == "predict":
+                # Store-version fold-in, as on the local backend: a
+                # replaced store invalidates this shard's cached
+                # activations exactly once, at the next batch boundary.
+                if store.version != state["store_version_seen"]:
+                    state["store_version_seen"] = store.version
+                    if cache is not None:
+                        cache.bump_version()
+                return distributed_restricted_logits(
+                    dist_graph, model, store, payload, cache=cache,
+                )
+            if kind == "update":
+                if payload is not None:
+                    model.load_state_dict(payload)
+                    model.eval()
+                if cache is not None:
+                    cache.bump_version()
+                return cache.version if cache is not None else None
+            if kind == "replace":
+                # mp only: payload is the full (num_nodes, dim) replacement
+                # matrix; each worker swaps the slice its store holds.
+                if isinstance(store, PartitionedKVStore):
+                    store.replace(payload[book.nodes_of(rank)])
+                else:
+                    store.replace(payload)
+                return store.version
+            if kind == "stats":
+                return {
+                    "rank": rank,
+                    "store_version": store.version,
+                    "embedding_cache": (
+                        cache.stats() if cache is not None else None
+                    ),
+                    "feature_store": store.stats() or None,
+                    "comm": comm.stats.serving_snapshot(),
+                }
+            raise ValueError(f"unknown serving request kind {kind!r}")
+
+        return handler
+
+    return factory
+
+
+class DistributedInferenceServer(_MicroBatchServerBase):
+    """Serve ``predict(node_ids)`` over a partitioned graph.
+
+    Parameters
+    ----------
+    model:
+        A trained module exposing ``num_layers`` and ``forward_layer``.
+        Thread workers share it (safe: ``eval()``-mode layers are
+        stateless in their forward pass); forked workers copy it at
+        :meth:`start`.  Mutate it only through :meth:`update`.
+    shards:
+        One :class:`~repro.partition.shard.ShardedGraph` per worker, in
+        rank order, all sharing one partition book (what
+        :func:`repro.partition.shard.create_shards` returns).
+    features:
+        Any of: the global ``(num_nodes, dim)`` feature matrix; one
+        :class:`~repro.store.FeatureStore` covering the global rows (used
+        as-is by every worker); a per-worker list of owned-row
+        matrices (``shards[p]``'s rows in local order); or a per-worker
+        list of global-coverage stores.  With
+        ``config.feature_store="kv"`` matrices become per-worker
+        :class:`~repro.store.PartitionedKVStore`\\ s (owned rows resident,
+        remote rows pulled through a hot-row cache); ``"dense"`` shares one
+        dense matrix.
+    config:
+        A :class:`~repro.serving.ServingConfig` with
+        ``backend="distributed"`` (worker threads, the default) or
+        ``backend="mp"`` (one forked worker process per shard; needs the
+        ``fork`` start method, checked by :meth:`start`).
+
+    :meth:`start` brings the shard cluster up (communicators, per-worker
+    :class:`~repro.core.dist_graph.DistributedGraph` handles, feature
+    stores, embedding caches) and :meth:`stop` tears it down.
+    """
+
+    def __init__(
+        self,
+        model,
+        shards: Sequence[ShardedGraph],
+        features,
+        config: Optional[ServingConfig] = None,
+    ):
+        if config is None:
+            config = ServingConfig(backend="distributed")
+        if config.backend not in _CLUSTERS:
             raise ValueError(
-                f"{type(self).__name__} is the {self.backend} backend; "
+                f"DistributedInferenceServer is the distributed backend "
+                f"(backend='distributed' threads or 'mp' processes); "
                 f"config.backend={config.backend!r} (use "
                 f"repro.serving.create_server to dispatch on the backend)"
             )
@@ -125,10 +236,15 @@ class _ShardServerBase(_MicroBatchServerBase):
                 "PartitionBook, in rank order"
             )
         super().__init__(model, book.num_nodes, config)
+        self.backend = config.backend
         self.shards = shards
         self.book = book
         self._world = len(shards)
         self._features_spec = self._check_features(features)
+        self._cluster = None
+        self._version_counter = 1
+        self._spec_version_seen = getattr(self._features_spec, "version", None)
+        self._last_worker_stats: Optional[list] = None
 
     # ------------------------------------------------------------------ #
     # feature materialization
@@ -181,27 +297,69 @@ class _ShardServerBase(_MicroBatchServerBase):
             matrix[book.nodes_of(p)] = rows
         return matrix
 
-    def _features_dtype(self):
-        """Served logit dtype, readable from the spec before any cluster is up."""
+    def _output_dtype(self):
         spec = self._features_spec
         if isinstance(spec, (FeatureStore, np.ndarray)):
             return spec.dtype
         return spec[0].dtype
 
-    def _output_dtype(self):
-        return self._features_dtype()
+    # ------------------------------------------------------------------ #
+    # cluster lifecycle
+    # ------------------------------------------------------------------ #
+    def _on_start(self) -> None:
+        # Runs on the caller's thread *before* the serve loop spawns, and
+        # after ``model.eval()`` — so forked workers leave an effectively
+        # single-threaded parent and inherit an eval'd model.
+        self._cluster = _CLUSTERS[self.backend](
+            _make_shard_service(self.model, self.shards, self._features_spec,
+                                self.config, self.book),
+            world_size=self._world,
+            timeout_s=self.config.comm_timeout_s,
+            name="serving-shard",
+        ).start()
+
+    def _on_stop(self) -> None:
+        cluster = self._cluster
+        if cluster is None:
+            return
+        self._worker_stats()  # keep the final snapshot for stats() after stop
+        cluster.stop()
+
+    @property
+    def processes(self):
+        """The shard worker processes in rank order (``"mp"`` only, else empty)."""
+        if self.backend != "mp" or self._cluster is None:
+            return []
+        return self._cluster.processes
+
+    def _debug_crash_worker(self, rank: int) -> None:
+        """Test hook: make shard ``rank`` stop answering before its next request."""
+        if self._cluster is None:
+            raise RuntimeError("server is not started")
+        self._cluster.inject_crash(rank)
 
     # ------------------------------------------------------------------ #
-    # batch assembly
+    # backend hooks
     # ------------------------------------------------------------------ #
-    def _scatter_owned(self, seeds: np.ndarray, results):
-        """Merge per-worker ``(owned_seeds, rows, input_layer)`` results.
+    def _sync_store_version(self) -> None:
+        # A new version of the store passed as features (replace(), an
+        # embedding step) bumps the serving version.  Thread workers read
+        # that store and fold the version in themselves; forked workers
+        # hold a snapshot, so they get the full replacement first.
+        spec = self._features_spec
+        if not isinstance(spec, FeatureStore) or spec.version == self._spec_version_seen:
+            return
+        self._spec_version_seen = spec.version
+        if self.backend == "mp":
+            self._cluster.request("replace", spec.gather(None))
+        self._version_counter += 1
 
-        Every worker returns the logit rows of the batch seeds *it owns*
-        (in ascending owned-seed order); scattering them back by
-        ``searchsorted`` rebuilds the batch's seed order.  Returns the
-        ``(logits, input_layer)`` pair :meth:`_compute` must produce.
-        """
+    def _compute(self, seeds: np.ndarray):
+        self._sync_store_version()
+        results = self._cluster.request("predict", seeds)
+        # Every worker returns ``(owned_seeds, rows, input_layer)`` for the
+        # batch seeds it owns, in ascending order; ``searchsorted`` puts
+        # them back into the batch's seed order.
         out = None
         for owned_ids, rows, _ in results:
             if rows is None:
@@ -211,212 +369,40 @@ class _ShardServerBase(_MicroBatchServerBase):
             out[np.searchsorted(seeds, owned_ids)] = rows
         return out, results[0][2]
 
-
-class DistributedInferenceServer(_ShardServerBase):
-    """Serve ``predict(node_ids)`` over a partitioned graph.
-
-    Parameters
-    ----------
-    model:
-        A trained module exposing ``num_layers`` and ``forward_layer`` —
-        shared by all shard worker threads (safe: ``eval()``-mode layers
-        are stateless in their forward pass); mutate it only through
-        :meth:`update`.
-    shards:
-        One :class:`~repro.partition.shard.ShardedGraph` per worker, in
-        rank order, all sharing one partition book (what
-        :func:`repro.partition.shard.create_shards` returns).
-    features:
-        Any of: the global ``(num_nodes, dim)`` feature matrix; one
-        :class:`~repro.store.FeatureStore` covering the global rows (used
-        as-is, shared by all workers); a per-worker list of owned-row
-        matrices (``shards[p]``'s rows in local order); or a per-worker
-        list of global-coverage stores.  With
-        ``config.feature_store="kv"`` matrices become per-worker
-        :class:`~repro.store.PartitionedKVStore`\\ s (owned rows resident,
-        remote rows pulled through a hot-row cache); ``"dense"`` shares one
-        dense matrix.
-    config:
-        A :class:`~repro.serving.ServingConfig` with
-        ``backend="distributed"``.
-
-    The cluster (thread-backend communicators, per-worker
-    :class:`~repro.core.dist_graph.DistributedGraph` handles, feature
-    stores, embedding caches, and worker threads) is brought up by
-    :meth:`start` and torn down by :meth:`stop`.
-    """
-
-    backend = "distributed"
-
-    def __init__(
-        self,
-        model,
-        shards: Sequence[ShardedGraph],
-        features,
-        config: Optional[ServingConfig] = None,
-    ):
-        if config is None:
-            config = ServingConfig(backend="distributed")
-        super().__init__(model, shards, features, config)
-        self._comms = None
-        self._shared_store = None
-        self._dist_graphs: List[DistributedGraph] = []
-        self._stores: List[FeatureStore] = []
-        self._caches: List[Optional[EmbeddingCache]] = []
-        self._job_queues: List["queue.Queue"] = []
-        self._workers: List[threading.Thread] = []
-        self._version_counter = 1
-
-    # ------------------------------------------------------------------ #
-    # cluster lifecycle
-    # ------------------------------------------------------------------ #
-    def _on_start(self) -> None:
-        config = self.config
-        self._comms, self._shared_store = create_thread_communicators(
-            self._world, timeout_s=config.comm_timeout_s
-        )
-        self._stores = [
-            _build_worker_store(self._features_spec, config, self.book, p, self._comms[p])
-            for p in range(self._world)
-        ]
-        self._dist_graphs = [None] * self._world
-        self._caches = [
-            EmbeddingCache(config.byte_budget, admission=config.cache_admission)
-            if config.byte_budget is not None else None
-            for _ in range(self._world)
-        ]
-        self._job_queues = [queue.Queue() for _ in range(self._world)]
-        # DistributedGraph construction runs a collective halo-routing
-        # exchange, so every worker must build its handle concurrently on
-        # its own thread; the futures surface startup failures here.
-        init_futures: List[Future] = [Future() for _ in range(self._world)]
-        self._workers = [
-            threading.Thread(
-                target=self._worker_loop, args=(p, init_futures[p]),
-                name=f"serving-shard-{p}", daemon=True,
-            )
-            for p in range(self._world)
-        ]
-        for thread in self._workers:
-            thread.start()
-        for future in init_futures:
-            future.result(config.comm_timeout_s)
-
-    def _on_stop(self) -> None:
-        for jobs in self._job_queues:
-            jobs.put(_STOP)
-        for thread in self._workers:
-            thread.join(self.config.stop_timeout_s)
-        # Release the KV stores built here, never the caller's stores.
-        spec = self._features_spec
-        given = spec if isinstance(spec, list) else [spec]
-        for store in self._stores:
-            if isinstance(store, PartitionedKVStore) and not any(store is item for item in given):
-                store.release()
-
-    def _worker_loop(self, rank: int, init_future: Future) -> None:
-        try:
-            dist_graph = DistributedGraph(
-                self.shards[rank], self._comms[rank],
-                restriction_cache_capacity=self.config.restriction_slots,
-            )
-        except BaseException as exc:
-            try:
-                self._shared_store.abort(
-                    f"serving worker {rank} failed to start: {exc!r}"
-                )
-            except BaseException:
-                pass
-            init_future.set_exception(exc)
-            return
-        self._dist_graphs[rank] = dist_graph
-        init_future.set_result(rank)
-        store = self._stores[rank]
-        cache = self._caches[rank]
-        jobs = self._job_queues[rank]
-        store_version_seen = store.version
-        while True:
-            job = jobs.get()
-            if job is _STOP:
-                break
-            seeds, future = job
-            try:
-                # Store-version fold-in (as on the local backend): a
-                # replace()/embedding step invalidates this shard's cached
-                # activations exactly once, at the next batch boundary.
-                if store.version != store_version_seen:
-                    store_version_seen = store.version
-                    if cache is not None:
-                        cache.bump_version()
-                result = distributed_restricted_logits(
-                    dist_graph, self.model, store, seeds, cache=cache,
-                )
-                future.set_result(result)
-            except BaseException as exc:
-                # Unblock peers stuck in this batch's collectives, then
-                # surface the failure to the frontend.
-                try:
-                    self._shared_store.abort(
-                        f"serving worker {rank} failed: {exc!r}"
-                    )
-                except BaseException:
-                    pass
-                if not future.done():
-                    future.set_exception(exc)
-
-    # ------------------------------------------------------------------ #
-    # backend hooks
-    # ------------------------------------------------------------------ #
-    def _compute(self, seeds: np.ndarray):
-        futures: List[Future] = []
-        for jobs in self._job_queues:
-            future: Future = Future()
-            jobs.put((seeds, future))
-            futures.append(future)
-        results = [f.result(self.config.comm_timeout_s) for f in futures]
-        return self._scatter_owned(seeds, results)
-
     def _apply_update(self, apply_fn: Optional[Callable]) -> int:
-        # Runs on the frontend serve-loop thread with no batch in flight —
-        # every worker thread is idle on its job queue, so the shared model
-        # and per-worker caches can be mutated directly.
+        # Runs on the serve-loop thread with no batch in flight.  Mutate
+        # the parent's (authoritative) model; forked workers then load its
+        # weights.  The job reaches every worker even without weights, so
+        # every shard's cache is invalidated.
+        payload = None
         if apply_fn is not None:
             apply_fn(self.model)
             self.model.eval()
+            if self.backend == "mp":
+                payload = self.model.state_dict()
+        self._cluster.request("update", payload)
         self._version_counter += 1
-        for cache in self._caches:
-            if cache is not None:
-                cache.bump_version()
         return self.version
 
     @property
     def version(self) -> int:
-        versions = [self._version_counter] + [
-            cache.version for cache in self._caches if cache is not None
-        ]
-        return max(versions)
+        return self._version_counter
+
+    def _worker_stats(self) -> list:
+        """Per-worker stats from a live cluster, else the last snapshot."""
+        cluster = self._cluster
+        if cluster is not None and cluster.running and cluster.failure is None:
+            try:
+                self._last_worker_stats = cluster.request("stats")
+            except RuntimeError:  # the cluster failed or stopped meanwhile
+                pass
+        return self._last_worker_stats or []
 
     def _backend_stats(self) -> dict:
-        workers = [
-            {
-                "rank": p,
-                "embedding_cache": (
-                    self._caches[p].stats()
-                    if p < len(self._caches) and self._caches[p] is not None
-                    else None
-                ),
-                "feature_store": (
-                    self._stores[p].stats() or None
-                    if p < len(self._stores) else None
-                ),
-                "comm": self._comms[p].stats.serving_snapshot(),
-            }
-            for p in range(self._world if self._comms is not None else 0)
-        ]
-        return {
+        workers = self._worker_stats()
+        stats = {
             "store_version": (
-                max(store.version for store in self._stores)
-                if self._stores else None
+                max(w["store_version"] for w in workers) if workers else None
             ),
             "embedding_cache": _aggregate_counters(
                 [w["embedding_cache"] for w in workers]
@@ -426,3 +412,11 @@ class DistributedInferenceServer(_ShardServerBase):
             ),
             "workers": workers,
         }
+        if self.backend == "mp":
+            cluster = self._cluster
+            stats["processes"] = {
+                "alive": [p.is_alive() for p in self.processes],
+                "exitcodes": [p.exitcode for p in self.processes],
+                "failure": cluster.failure if cluster is not None else None,
+            }
+        return stats

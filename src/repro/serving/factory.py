@@ -8,7 +8,6 @@ from repro.graph.graph import Graph
 from repro.partition.shard import ShardedGraph
 from repro.serving.config import ServingConfig
 from repro.serving.distributed import DistributedInferenceServer
-from repro.serving.mp_server import MultiprocessInferenceServer
 from repro.serving.server import InferenceServer
 
 
@@ -22,9 +21,8 @@ def create_server(model, graph_or_shards, features_or_store,
     and ``backend="mp"`` take the per-worker :class:`~repro.partition.
     shard.ShardedGraph` list (what :func:`repro.partition.shard.
     create_shards` returns) plus global or per-worker features and return
-    a :class:`~repro.serving.DistributedInferenceServer` (shard worker
-    threads) or a :class:`~repro.serving.MultiprocessInferenceServer`
-    (one forked shard process each) respectively.  All implement
+    a :class:`~repro.serving.DistributedInferenceServer`, whose shard
+    workers are threads or forked processes respectively.  All implement
     :class:`~repro.serving.ServerProtocol`; none is started — call
     ``start()`` or use the returned server as a context manager.
     """
@@ -58,8 +56,5 @@ def create_server(model, graph_or_shards, features_or_store,
             f"backend={config.backend!r} serves a list of ShardedGraph "
             f"shards, got {type(graph_or_shards).__name__}"
         )
-    if config.backend == "mp":
-        return MultiprocessInferenceServer(model, graph_or_shards,
-                                           features_or_store, config=config)
     return DistributedInferenceServer(model, graph_or_shards,
                                       features_or_store, config=config)

@@ -101,9 +101,10 @@ class FeatureStore(abc.ABC):
         """Release externally held resources (published rows, caches).
 
         A no-op for resident backends; :class:`~repro.store.
-        PartitionedKVStore` unpublishes its rows.  Long-lived owners (the
-        distributed serving backend) call this on shutdown so stores can be
-        torn down uniformly without backend checks.
+        PartitionedKVStore` unpublishes its rows.  Owners that outlive the
+        store on a live communicator (the distributed training worker) call
+        this when done, so stores can be torn down uniformly without backend
+        checks.
         """
 
     # -- telemetry -------------------------------------------------------- #

@@ -18,11 +18,19 @@ The subsystem contract under test (``repro/serving/``):
   one);
 * calling ``update()``/``predict()`` on a never-started server raises a
   RuntimeError that says so (regression: it used to be indistinguishable
-  from a stopped server).
+  from a stopped server);
+* both shard backends run one shard service over one job loop, so a shard
+  that raises or dies fails the request with
+  :class:`~repro.distributed.service.WorkerFailedError` naming its rank on
+  threads and on forked processes alike.
+
+The parity tests take a ``backend`` argument (default ``"distributed"``);
+``tests/test_mp_serving.py`` runs the same bodies with ``backend="mp"``.
 """
 
 from __future__ import annotations
 
+import multiprocessing as mp
 import threading
 import time
 
@@ -30,6 +38,7 @@ import numpy as np
 import pytest
 
 from repro.datasets import make_sbm_dataset
+from repro.distributed.service import WorkerFailedError
 from repro.nn.models import GATNet, GraphSageNet
 from repro.partition import PartitionBook, create_shards, partition_graph
 from repro.serving import (
@@ -40,6 +49,7 @@ from repro.serving import (
     create_server,
 )
 from repro.store import DenseStore
+from repro.serving import distributed as dist_serving
 from repro.tensor import Tensor, no_grad
 from repro.utils.seed import set_seed
 
@@ -89,12 +99,34 @@ def _reference_logits(model, graph, features):
         return model(graph, Tensor(features)).data
 
 
+_needs_fork = pytest.mark.skipif(
+    "fork" not in mp.get_all_start_methods(),
+    reason="mp serving backend requires the fork start method",
+)
+#: both shard backends; the mp case is skipped where fork is unavailable.
+_SHARD_BACKENDS = ["distributed", pytest.param("mp", marks=_needs_fork)]
+#: generous wall-clock bound proving "no hang" on the failure paths (the
+#: healthy path resolves in well under a second).
+_NO_HANG_S = 60.0
+
+
+def _assert_no_leaked_children():
+    # The mp cluster's workers and its Manager process are all direct
+    # children; give slow reapers a moment, then require the process table
+    # clean.
+    deadline = time.monotonic() + 10.0
+    while mp.active_children() and time.monotonic() < deadline:
+        time.sleep(0.05)
+    assert mp.active_children() == []
+
+
 # --------------------------------------------------------------------------- #
 # parity matrix: distributed == single-machine, bit for bit
 # --------------------------------------------------------------------------- #
 @pytest.mark.parametrize("kind", ["sage", "gat"])
 @pytest.mark.parametrize("byte_budget", [None, 1 << 20])
-def test_distributed_bit_identical_to_local_server(dataset, kind, byte_budget):
+def test_distributed_bit_identical_to_local_server(dataset, kind, byte_budget,
+                                                  backend="distributed"):
     """sage/gat x cache-on/off x cold+warm: exact rows from 2 shards."""
     model = _make_model(dataset, kind)
     streams = [[5], [3, 1, 4, 1, 5], [0, 179], list(range(40))]
@@ -105,11 +137,13 @@ def test_distributed_bit_identical_to_local_server(dataset, kind, byte_budget):
         expected = [local.predict(ids) for ids in streams]
 
     shards = _make_shards(dataset, 2)
-    config = ServingConfig(
-        backend="distributed", window_ms=0.0, byte_budget=byte_budget
-    )
+    config = ServingConfig(backend=backend, window_ms=0.0, byte_budget=byte_budget)
     with create_server(model, shards, dataset.features, config) as server:
         assert isinstance(server, DistributedInferenceServer)
+        assert isinstance(server, ServerProtocol)
+        if backend == "mp":
+            assert len(server.processes) == 2
+            assert all(p.is_alive() for p in server.processes)
         for ids, want in zip(streams, expected):  # cold caches
             np.testing.assert_array_equal(server.predict(ids), want)
         for ids, want in zip(streams, expected):  # warm caches
@@ -119,9 +153,11 @@ def test_distributed_bit_identical_to_local_server(dataset, kind, byte_budget):
         # Warm repeats hit the all-logits fast path on every shard.
         assert stats["fast_path_batches"] >= 1
     assert stats["served_requests"] == 2 * len(streams)
+    if backend == "mp":
+        _assert_no_leaked_children()
 
 
-def test_concurrent_clients_distributed_bit_identical(dataset):
+def test_concurrent_clients_distributed_bit_identical(dataset, backend="distributed"):
     """Coalesced concurrent requests over 3 shards all get exact rows."""
     model = _make_model(dataset, "gat")
     reference = _reference_logits(model, dataset.graph, dataset.features)
@@ -131,9 +167,7 @@ def test_concurrent_clients_distributed_bit_identical(dataset):
     ]
     errors = []
     shards = _make_shards(dataset, 3)
-    config = ServingConfig(
-        backend="distributed", window_ms=2.0, byte_budget=1 << 20
-    )
+    config = ServingConfig(backend=backend, window_ms=2.0, byte_budget=1 << 20)
     with create_server(model, shards, dataset.features, config) as server:
 
         def client(stream):
@@ -152,19 +186,19 @@ def test_concurrent_clients_distributed_bit_identical(dataset):
         stats = server.stats()
     assert not errors
     assert stats["served_requests"] == sum(len(s) for s in streams)
+    if backend == "mp":
+        _assert_no_leaked_children()
 
 
 # --------------------------------------------------------------------------- #
 # invalidation: updates and store versions reach every shard
 # --------------------------------------------------------------------------- #
-def test_update_invalidates_every_shard(dataset):
+def test_update_invalidates_every_shard(dataset, backend="distributed"):
     model = _make_model(dataset)
     reference = _reference_logits(model, dataset.graph, dataset.features)
     ids = [3, 17, 90, 140]
     shards = _make_shards(dataset, 2)
-    config = ServingConfig(
-        backend="distributed", window_ms=0.0, byte_budget=1 << 20
-    )
+    config = ServingConfig(backend=backend, window_ms=0.0, byte_budget=1 << 20)
     with create_server(model, shards, dataset.features, config) as server:
         np.testing.assert_array_equal(server.predict(ids), reference[ids])
         assert server.version == 1
@@ -174,6 +208,8 @@ def test_update_invalidates_every_shard(dataset):
                 param.data[...] = param.data + 0.25
 
         assert server.update(perturb) == 2
+        # The parent model mutated; forked workers must serve the *new*
+        # weights even though they forked the old ones.
         new_reference = _reference_logits(model, dataset.graph, dataset.features)
         assert not np.array_equal(new_reference, reference)
         np.testing.assert_array_equal(server.predict(ids), new_reference[ids])
@@ -183,18 +219,18 @@ def test_update_invalidates_every_shard(dataset):
     for worker in stats["workers"]:
         assert worker["embedding_cache"]["version"] == 2
         assert worker["embedding_cache"]["invalidations"] >= 1
+    if backend == "mp":
+        _assert_no_leaked_children()
 
 
-def test_store_replace_folds_into_every_shard(dataset):
-    """A shared store's replace() invalidates all shards at the next batch."""
+def test_store_replace_folds_into_every_shard(dataset, backend="distributed"):
+    """A store's replace() reaches and invalidates all shards at the next batch."""
     model = _make_model(dataset)
     reference = _reference_logits(model, dataset.graph, dataset.features)
     ids = [3, 17, 90]
     store = DenseStore(dataset.features.copy())
     shards = _make_shards(dataset, 2)
-    config = ServingConfig(
-        backend="distributed", window_ms=0.0, byte_budget=1 << 20
-    )
+    config = ServingConfig(backend=backend, window_ms=0.0, byte_budget=1 << 20)
     with create_server(model, shards, store, config) as server:
         np.testing.assert_array_equal(server.predict(ids), reference[ids])
         fresh = dataset.features * 1.5
@@ -206,13 +242,15 @@ def test_store_replace_folds_into_every_shard(dataset):
     assert stats["store_version"] == 2
     for worker in stats["workers"]:
         assert worker["embedding_cache"]["invalidations"] >= 1
+    if backend == "mp":
+        _assert_no_leaked_children()
 
 
 # --------------------------------------------------------------------------- #
 # feature delivery forms
 # --------------------------------------------------------------------------- #
 @pytest.mark.parametrize("form", ["global-kv", "per-worker-kv", "global-dense"])
-def test_feature_forms_serve_identical_rows(dataset, form):
+def test_feature_forms_serve_identical_rows(dataset, form, backend="distributed"):
     model = _make_model(dataset)
     reference = _reference_logits(model, dataset.graph, dataset.features)
     ids = [7, 42, 100, 150]
@@ -223,9 +261,7 @@ def test_feature_forms_serve_identical_rows(dataset, form):
     else:
         features = dataset.features
     store_kind = "dense" if form == "global-dense" else "kv"
-    config = ServingConfig(
-        backend="distributed", window_ms=0.0, feature_store=store_kind
-    )
+    config = ServingConfig(backend=backend, window_ms=0.0, feature_store=store_kind)
     with create_server(model, shards, features, config) as server:
         np.testing.assert_array_equal(server.predict(ids), reference[ids])
         stats = server.stats()
@@ -234,11 +270,21 @@ def test_feature_forms_serve_identical_rows(dataset, form):
         for worker in stats["workers"]:
             assert worker["feature_store"]
         assert stats["feature_store"]
+    if backend == "mp":
+        _assert_no_leaked_children()
 
 
-def test_per_worker_dense_features_become_one_shared_matrix(dataset):
+def test_per_worker_dense_features_become_one_shared_matrix(dataset, monkeypatch):
     # Owned-row matrices under feature_store="dense" are assembled into one
     # global matrix at construction; every shard worker's store reads it.
+    stores = []
+    build = dist_serving._build_worker_store
+
+    def recording_build(*args):
+        stores.append(build(*args))
+        return stores[-1]
+
+    monkeypatch.setattr(dist_serving, "_build_worker_store", recording_build)
     model = _make_model(dataset)
     reference = _reference_logits(model, dataset.graph, dataset.features)
     ids = [7, 42, 100, 150]
@@ -248,7 +294,8 @@ def test_per_worker_dense_features_become_one_shared_matrix(dataset):
     config = ServingConfig(backend="distributed", window_ms=0.0, feature_store="dense")
     with create_server(model, shards, features, config) as server:
         np.testing.assert_array_equal(server.predict(ids), reference[ids])
-        matrices = [store.matrix for store in server._stores]
+    matrices = [store.matrix for store in stores]
+    assert len(matrices) == 2
     assert all(matrix is matrices[0] for matrix in matrices)
     np.testing.assert_array_equal(matrices[0], dataset.features)
 
@@ -269,6 +316,12 @@ def test_factory_dispatches_on_backend(dataset):
     assert isinstance(dist, DistributedInferenceServer)
     assert isinstance(dist, ServerProtocol)
     assert not dist.running
+    procs = create_server(
+        model, shards, dataset.features, ServingConfig(backend="mp")
+    )
+    assert isinstance(procs, DistributedInferenceServer)
+    assert procs.backend == "mp"
+    assert not procs.running
 
 
 def test_factory_rejects_mismatched_topology(dataset):
@@ -490,6 +543,101 @@ def test_backend_lifecycle_validates_requests(backend_server):
         with pytest.raises(ValueError, match="node_ids"):
             server.predict([-1])
         assert server.stats()["backend"] == server.backend
+
+
+# --------------------------------------------------------------------------- #
+# failure contract: one job loop, both shard backends
+# --------------------------------------------------------------------------- #
+@pytest.mark.parametrize("backend", _SHARD_BACKENDS)
+def test_raising_shard_fails_requests_naming_its_rank(dataset, backend):
+    """The failing rank is reported, not a survivor's follow-on abort."""
+    model = _make_model(dataset)
+    forward_layer = model.forward_layer
+
+    def forward_layer_failing_on_rank_1(*args, **kwargs):
+        # Shard workers are named "serving-shard-<rank>": threads on the
+        # thread backend, processes on the mp backend.
+        names = {threading.current_thread().name, mp.current_process().name}
+        if "serving-shard-1" in names:
+            raise ValueError("shard boom")
+        return forward_layer(*args, **kwargs)
+
+    model.forward_layer = forward_layer_failing_on_rank_1
+    shards = _make_shards(dataset, 2)
+    config = ServingConfig(backend=backend, window_ms=0.0, comm_timeout_s=60.0)
+    server = create_server(model, shards, dataset.features, config).start()
+    try:
+        start = time.monotonic()
+        with pytest.raises(WorkerFailedError, match="rank 1") as excinfo:
+            server.predict([1, 2, 3])
+        assert time.monotonic() - start < _NO_HANG_S
+        assert "shard boom" in str(excinfo.value)
+        # Rank 0's follow-on abort is dropped once the root cause is known.
+        assert "ClusterAborted" not in str(excinfo.value)
+        # Later requests fail at once on the poisoned cluster, with the cause.
+        start = time.monotonic()
+        with pytest.raises(WorkerFailedError, match="rank 1") as excinfo:
+            server.predict([7])
+        assert time.monotonic() - start < 5.0
+        assert "shard boom" in str(excinfo.value)
+    finally:
+        server.stop()
+    assert not server.running
+    if backend == "mp":
+        _assert_no_leaked_children()
+
+
+@pytest.mark.parametrize("backend", _SHARD_BACKENDS)
+def test_dead_shard_fails_requests_with_rank_no_hang_no_leak(dataset, backend):
+    model = _make_model(dataset)
+    shards = _make_shards(dataset, 2)
+    config = ServingConfig(backend=backend, window_ms=0.0, comm_timeout_s=60.0)
+    server = create_server(model, shards, dataset.features, config).start()
+    try:
+        server.predict([1, 2, 3])  # healthy first
+        server._debug_crash_worker(0)
+        start = time.monotonic()
+        with pytest.raises(WorkerFailedError, match="rank 0") as excinfo:
+            server.predict([4, 5, 6])
+        # Prompt failure: liveness polling, not the comm timeout, caught it.
+        assert time.monotonic() - start < _NO_HANG_S
+        assert "rank 0" in str(excinfo.value)
+        # Later requests fail immediately on the poisoned cluster.
+        start = time.monotonic()
+        with pytest.raises(WorkerFailedError, match="rank 0"):
+            server.predict([7])
+        assert time.monotonic() - start < 5.0
+        if backend == "mp":
+            stats = server.stats()
+            assert stats["processes"]["alive"][0] is False
+            assert stats["processes"]["failure"] is not None
+    finally:
+        server.stop()
+    assert not server.running
+    if backend == "mp":
+        _assert_no_leaked_children()
+
+
+@pytest.mark.parametrize("backend", _SHARD_BACKENDS)
+def test_dead_shard_fails_inflight_futures(dataset, backend):
+    """Futures already enqueued when the shard dies resolve with the error."""
+    model = _make_model(dataset)
+    shards = _make_shards(dataset, 2)
+    config = ServingConfig(backend=backend, window_ms=0.0, comm_timeout_s=60.0)
+    server = create_server(model, shards, dataset.features, config).start()
+    try:
+        server.predict([0])
+        server._debug_crash_worker(1)
+        futures = [server.predict_async([i, i + 1]) for i in range(4)]
+        start = time.monotonic()
+        for future in futures:
+            with pytest.raises(WorkerFailedError, match="rank 1"):
+                future.result(_NO_HANG_S)
+        assert time.monotonic() - start < _NO_HANG_S
+    finally:
+        server.stop()
+    if backend == "mp":
+        _assert_no_leaked_children()
 
 
 # --------------------------------------------------------------------------- #

@@ -15,7 +15,7 @@ import pytest
 
 from repro.core import SARConfig
 from repro.datasets import make_sbm_dataset
-from repro.distributed import mp_backend
+from repro.distributed import service
 from repro.distributed.cluster import run_distributed
 from repro.distributed.comm import STREAM_KEY_PREFIX
 from repro.distributed.mp_backend import (
@@ -268,7 +268,7 @@ class TestMultiprocessBackend:
         # communicator, so poisoning cannot cut it short.  The job must fail
         # once the abort grace runs out, not when the busy peer finishes,
         # and report the root cause rather than a timeout.
-        monkeypatch.setattr(mp_backend, "_ABORT_GRACE_S", 2.0)
+        monkeypatch.setattr(service, "_ABORT_GRACE_S", 2.0)
         with MultiprocessServiceCluster(_busy_peer_service, world_size=2,
                                         timeout_s=120) as cluster:
             start = time.monotonic()
